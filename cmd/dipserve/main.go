@@ -138,6 +138,13 @@ func servePprof(addr, addrFile string) (io.Closer, error) {
 }
 
 func run(addr, addrFile, pprofAddr, pprofAddrFile string, cfg serve.Config) error {
+	// The handler is in place before any address is published: a
+	// SIGTERM sent the moment -addrfile appears must drain and close the
+	// ledger, not kill the process by the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	s, err := serve.New(cfg)
 	if err != nil {
 		return err
@@ -171,8 +178,6 @@ func run(addr, addrFile, pprofAddr, pprofAddrFile string, cfg serve.Config) erro
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -6,6 +6,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -14,29 +15,29 @@ import (
 // ErrShortRead is returned when a reader runs out of bits.
 var ErrShortRead = errors.New("bitio: read past end of bit string")
 
-// Writer accumulates bits most-significant-first into a byte slice.
-// The zero value is ready to use.
+// Writer accumulates bits most-significant-first. The zero value is
+// ready to use.
+//
+// Bits move a word at a time: the most recent bits sit MSB-aligned in
+// acc and complete 64-bit words spill to buf, so a label of at most 64
+// bits is written without touching the heap and every write is a
+// couple of shifts, not a loop over bits.
 type Writer struct {
-	buf  []byte
+	buf  []byte // flushed 64-bit words, big-endian
+	acc  uint64 // the bits after buf, MSB-aligned; unused low bits zero
 	nbit int
 }
 
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbit }
 
-// Bytes returns the underlying storage. The final byte may be partially
-// filled; unused low-order bits are zero.
-func (w *Writer) Bytes() []byte { return w.buf }
-
 // WriteBit appends a single bit.
 func (w *Writer) WriteBit(b bool) {
-	if w.nbit%8 == 0 {
-		w.buf = append(w.buf, 0)
-	}
+	var word uint64
 	if b {
-		w.buf[w.nbit/8] |= 1 << (7 - uint(w.nbit%8))
+		word = 1 << 63
 	}
-	w.nbit++
+	w.writeWord(word, 1)
 }
 
 // WriteUint appends the width low-order bits of v, most significant first.
@@ -49,26 +50,58 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v >= 1<<uint(width) {
 		panic(fmt.Sprintf("bitio: value %d overflows %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>(uint(i))&1 == 1)
+	if width > 0 {
+		w.writeWord(v<<(64-uint(width)), width)
 	}
 }
 
 // WriteBool appends a boolean as one bit.
 func (w *Writer) WriteBool(b bool) { w.WriteBit(b) }
 
+// WriteString appends every bit of s. It is how composite labels embed
+// the encodings of their sub-protocols' labels.
+func (w *Writer) WriteString(s String) { w.writeRange(s, 0, s.nbit) }
+
+// writeRange appends the n bits of s starting at bit pos, a word at a
+// time.
+func (w *Writer) writeRange(s String, pos, n int) {
+	for off := 0; off < n; off += 64 {
+		k := min(n-off, 64)
+		w.writeWord(s.word64(pos+off)&highBits(k), k)
+	}
+}
+
+// writeWord appends the n (1..64) most significant bits of word, whose
+// low 64-n bits must be zero.
+func (w *Writer) writeWord(word uint64, n int) {
+	used := uint(w.nbit - 8*len(w.buf)) // bits held in acc, 0..64
+	w.acc |= word >> used
+	if free := 64 - used; uint(n) > free {
+		if w.buf == nil {
+			// Room for the String tail too: one allocation covers a
+			// spilled label of up to 192 bits.
+			w.buf = make([]byte, 0, 24)
+		}
+		w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+		w.acc = word << free
+	}
+	w.nbit += n
+}
+
 // String captures the written bits as an immutable bit string.
 func (w *Writer) String() String {
 	if w.nbit <= inlineBits {
-		var word uint64
-		for i, b := range w.buf {
-			word |= uint64(b) << (56 - 8*uint(i))
-		}
-		return String{word: word, nbit: w.nbit}
+		return String{word: w.acc, nbit: w.nbit} // buf is empty
 	}
-	cp := make([]byte, len(w.buf))
-	copy(cp, w.buf)
-	return String{data: cp, nbit: w.nbit}
+	// The string shares buf's flushed words, which the writer never
+	// rewrites; clipping buf's capacity makes later writes copy instead
+	// of overwriting the tail appended here.
+	data := w.buf
+	for acc := w.acc; len(data) < (w.nbit+7)/8; acc <<= 8 {
+		data = append(data, byte(acc>>56))
+	}
+	w.buf = w.buf[:len(w.buf):len(w.buf)]
+	return String{data: data, nbit: w.nbit}
 }
 
 // inlineBits is the largest bit length stored inline in a String.
@@ -149,6 +182,36 @@ func (s String) String() string {
 	return string(out)
 }
 
+// word64 returns the 64 bits of s starting at bit pos, MSB-aligned;
+// bits past the end of s read as zero. On the inline form it is one
+// shift.
+func (s String) word64(pos int) uint64 {
+	if s.data == nil {
+		return s.word << uint(pos)
+	}
+	return s.spilledWord64(pos)
+}
+
+// spilledWord64 is word64 on the spilled form: at most nine byte steps.
+func (s String) spilledWord64(pos int) uint64 {
+	i, off := pos/8, uint(pos%8)
+	var w uint64
+	if i+8 <= len(s.data) {
+		w = binary.BigEndian.Uint64(s.data[i:])
+	} else {
+		for k, b := range s.data[i:] {
+			w |= uint64(b) << (56 - 8*uint(k))
+		}
+	}
+	if off != 0 {
+		w <<= off
+		if i+8 < len(s.data) {
+			w |= uint64(s.data[i+8]) >> (8 - off)
+		}
+	}
+	return w
+}
+
 // Reader consumes a String most-significant-bit first.
 type Reader struct {
 	s   String
@@ -160,35 +223,48 @@ func (r *Reader) Remaining() int { return r.s.nbit - r.pos }
 
 // ReadBit consumes one bit.
 func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= r.s.nbit {
-		return false, ErrShortRead
-	}
-	b := r.s.Bit(r.pos)
-	r.pos++
-	return b, nil
+	v, err := r.ReadUint(1)
+	return v == 1, err
 }
 
-// ReadUint consumes width bits as an unsigned integer.
+// ReadUint consumes width bits as an unsigned integer. A read past the
+// end returns ErrShortRead and leaves the reader at the end.
 func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("bitio: invalid width %d", width)
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	if width > r.Remaining() {
+		r.pos = r.s.nbit
+		return 0, ErrShortRead
 	}
+	v := r.s.word64(r.pos) >> (64 - uint(width))
+	r.pos += width
 	return v, nil
 }
 
 // ReadBool consumes one bit as a boolean.
 func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
+
+// ReadString consumes the next n bits as a String in canonical form
+// (inline for n <= 64). It is how composite labels slice out the
+// encodings of their sub-protocols' labels. A read past the end returns
+// ErrShortRead and leaves the reader at the end.
+func (r *Reader) ReadString(n int) (String, error) {
+	if n < 0 {
+		return String{}, fmt.Errorf("bitio: invalid length %d", n)
+	}
+	if n > r.Remaining() {
+		r.pos = r.s.nbit
+		return String{}, ErrShortRead
+	}
+	var w Writer
+	w.writeRange(r.s, r.pos, n)
+	r.pos += n
+	return w.String(), nil
+}
+
+// highBits is the mask of the n (0..64) most significant bits.
+func highBits(n int) uint64 { return ^(^uint64(0) >> uint(n)) }
 
 // BitsFor returns the number of bits needed to represent values in [0, n),
 // i.e. ceil(log2 n), with BitsFor(0) = BitsFor(1) = 0.

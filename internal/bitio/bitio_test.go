@@ -28,6 +28,19 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if got != tt.v {
 			t.Fatalf("round trip %d/%d: got %d", tt.v, tt.width, got)
 		}
+		// The same field carried as a string: written after a one-bit
+		// offset and sliced back out.
+		var ws Writer
+		ws.WriteBit(true)
+		ws.WriteString(s)
+		r := ws.String().Reader()
+		if b, _ := r.ReadBit(); !b {
+			t.Fatalf("width %d: lost the offset bit", tt.width)
+		}
+		sub, err := r.ReadString(tt.width)
+		if err != nil || !sub.Equal(s) || r.Remaining() != 0 {
+			t.Fatalf("string round trip %d/%d: got %v (%v), remaining %d", tt.v, tt.width, sub, err, r.Remaining())
+		}
 	}
 }
 
@@ -37,9 +50,10 @@ func TestMixedFields(t *testing.T) {
 	w.WriteUint(42, 7)
 	w.WriteBool(false)
 	w.WriteUint(9, 5)
+	w.WriteString(FromUint(0b101, 3))
 	s := w.String()
-	if s.Len() != 14 {
-		t.Fatalf("len = %d, want 14", s.Len())
+	if s.Len() != 17 {
+		t.Fatalf("len = %d, want 17", s.Len())
 	}
 	r := s.Reader()
 	b, _ := r.ReadBool()
@@ -58,6 +72,9 @@ func TestMixedFields(t *testing.T) {
 	if v != 9 {
 		t.Fatalf("got %d want 9", v)
 	}
+	if sub, _ := r.ReadString(3); sub.String() != "101" {
+		t.Fatalf("got %q want 101", sub.String())
+	}
 	if r.Remaining() != 0 {
 		t.Fatalf("remaining %d", r.Remaining())
 	}
@@ -68,6 +85,19 @@ func TestShortRead(t *testing.T) {
 	r := s.Reader()
 	if _, err := r.ReadUint(3); err != ErrShortRead {
 		t.Fatalf("want ErrShortRead, got %v", err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("short read left %d bits, want the reader at the end", r.Remaining())
+	}
+	r = s.Reader()
+	if _, err := r.ReadString(3); err != ErrShortRead {
+		t.Fatalf("ReadString: want ErrShortRead, got %v", err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("short ReadString left %d bits, want the reader at the end", r.Remaining())
+	}
+	if _, err := s.Reader().ReadString(-1); err == nil {
+		t.Fatal("negative ReadString length accepted")
 	}
 }
 
@@ -166,6 +196,12 @@ func TestInlineCanonicalForm(t *testing.T) {
 		if err != nil || got != v {
 			t.Fatalf("width %d: round-trip got %d (%v), want %d", width, got, err, v)
 		}
+		var ws Writer
+		ws.WriteString(direct)
+		sliced, err := ws.String().Reader().ReadString(width)
+		if err != nil || sliced.data != nil || !sliced.Equal(direct) {
+			t.Fatalf("width %d: WriteString/ReadString broke the inline form", width)
+		}
 	}
 	var w Writer
 	w.WriteUint(0xDEADBEEF, 32)
@@ -177,6 +213,17 @@ func TestInlineCanonicalForm(t *testing.T) {
 	}
 	if long.Len() != 65 || !long.Bit(64) {
 		t.Fatalf("spilled string: len=%d bit64=%v", long.Len(), long.Bit(64))
+	}
+	r := long.Reader()
+	head, _ := r.ReadString(64)
+	tail, _ := r.ReadString(1)
+	if head.data != nil || !head.Equal(FromUint(0xDEADBEEFDEADBEEF, 64)) || !tail.Bit(0) {
+		t.Fatal("slicing a spilled string at the boundary")
+	}
+	var ws Writer
+	ws.WriteString(long)
+	if again := ws.String(); again.data == nil || !again.Equal(long) {
+		t.Fatal("WriteString of a spilled string")
 	}
 }
 

@@ -199,7 +199,7 @@ func CheckNode(p Params, v *NodeView) bool {
 		in  bool
 		out bool
 	}
-	pairs := map[int]*seenPair{}
+	pairs := map[int]seenPair{}
 	for _, e := range v.Edges {
 		if e.R1.Inner {
 			// Inner-block edge: in-block order plus nonce equality.
@@ -221,10 +221,9 @@ func CheckNode(p Params, v *NodeView) bool {
 		if i < 1 || i > B {
 			return false
 		}
-		sp := pairs[i]
-		if sp == nil {
-			sp = &seenPair{j: e.R2.JVal}
-			pairs[i] = sp
+		sp, seen := pairs[i]
+		if !seen {
+			sp = seenPair{j: e.R2.JVal}
 		} else if sp.j != e.R2.JVal {
 			return false
 		}
@@ -238,6 +237,7 @@ func CheckNode(p Params, v *NodeView) bool {
 			// (outgoing) and 1 (incoming).
 			return false
 		}
+		pairs[i] = sp
 	}
 
 	// --- Verification-scheme aggregation -------------------------------

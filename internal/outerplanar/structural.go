@@ -38,7 +38,7 @@ type structR1 struct {
 
 func (l structR1) encode() bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.FC.Encode())
+	w.WriteString(l.FC.Encode())
 	w.WriteBool(l.Cut)
 	w.WriteBool(l.Leader)
 	return w.String()
@@ -46,7 +46,7 @@ func (l structR1) encode() bitio.String {
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := readBits(r, forestcode.LabelBits)
+	fcBits, err := r.ReadString(forestcode.LabelBits)
 	if err != nil {
 		return structR1{}, fmt.Errorf("outerplanar: r1: %w", err)
 	}
@@ -75,7 +75,7 @@ type structCoin struct {
 func (c structCoin) encode(p Params) bitio.String {
 	var w bitio.Writer
 	w.WriteUint(c.S, p.L)
-	appendBits(&w, c.ST.Encode(p.ST))
+	w.WriteString(c.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -85,7 +85,7 @@ func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
 	if err != nil {
 		return structCoin{}, fmt.Errorf("outerplanar: coin: %w", err)
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return structCoin{}, err
 	}
@@ -110,7 +110,7 @@ func (l structR2) encode(p Params) bitio.String {
 	w.WriteUint(l.Self, p.L)
 	w.WriteUint(l.Sep, p.L)
 	w.WriteUint(l.Lead, p.L)
-	appendBits(&w, l.ST.Encode(p.ST))
+	w.WriteString(l.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -127,7 +127,7 @@ func decodeStructR2(s bitio.String, p Params) (structR2, error) {
 	if l.Lead, err = r.ReadUint(p.L); err != nil {
 		return l, err
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return l, err
 	}
@@ -338,22 +338,4 @@ func StructuralProtocol(inst *dip.Instance, p Params, plan *Plan) *dip.Protocol 
 		NewProver:      func() dip.Prover { return &structProver{p: p, plan: plan, inst: inst} },
 		Verifier:       structVerifier{p: p},
 	}
-}
-
-func appendBits(w *bitio.Writer, s bitio.String) {
-	for i := 0; i < s.Len(); i++ {
-		w.WriteBit(s.Bit(i))
-	}
-}
-
-func readBits(r *bitio.Reader, n int) (bitio.String, error) {
-	var w bitio.Writer
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return bitio.String{}, err
-		}
-		w.WriteBit(b)
-	}
-	return w.String(), nil
 }

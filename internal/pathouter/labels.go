@@ -56,15 +56,15 @@ type Round1Node struct {
 // Encode writes the round-1 node label.
 func (l Round1Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.FC.Encode())
-	appendBits(&w, l.LR.Encode(p.LR))
+	w.WriteString(l.FC.Encode())
+	w.WriteString(l.LR.Encode(p.LR))
 	return w.String()
 }
 
 // DecodeRound1Node parses a round-1 node label.
 func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
 	r := s.Reader()
-	fcBits, err := readBits(r, forestcode.LabelBits)
+	fcBits, err := r.ReadString(forestcode.LabelBits)
 	if err != nil {
 		return Round1Node{}, fmt.Errorf("pathouter: r1 node: %w", err)
 	}
@@ -72,7 +72,7 @@ func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
 	if err != nil {
 		return Round1Node{}, err
 	}
-	rest, err := readBits(r, r.Remaining())
+	rest, err := r.ReadString(r.Remaining())
 	if err != nil {
 		return Round1Node{}, err
 	}
@@ -100,7 +100,7 @@ type Round1Edge struct {
 func (l Round1Edge) Encode(p Params) bitio.String {
 	var w bitio.Writer
 	w.WriteBool(l.TailIsCanonU)
-	appendBits(&w, l.LR.Encode(p.LR))
+	w.WriteString(l.LR.Encode(p.LR))
 	w.WriteBool(l.LongestTailRight)
 	w.WriteBool(l.LongestHeadLeft)
 	return w.String()
@@ -113,7 +113,7 @@ func DecodeRound1Edge(s bitio.String, p Params) (Round1Edge, error) {
 	if err != nil {
 		return Round1Edge{}, fmt.Errorf("pathouter: r1 edge: %w", err)
 	}
-	lrBits, err := readBits(r, 1+p.LR.JBits)
+	lrBits, err := r.ReadString(1 + p.LR.JBits)
 	if err != nil {
 		return Round1Edge{}, err
 	}
@@ -143,8 +143,8 @@ type CoinsV1 struct {
 // Encode writes the coins.
 func (c CoinsV1) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	appendBits(&w, c.ST.Encode(p.ST))
-	appendBits(&w, c.LR.Encode(p.LR))
+	w.WriteString(c.ST.Encode(p.ST))
+	w.WriteString(c.LR.Encode(p.LR))
 	w.WriteUint(c.Name, p.NameBits())
 	return w.String()
 }
@@ -152,7 +152,7 @@ func (c CoinsV1) Encode(p Params) bitio.String {
 // DecodeCoinsV1 parses the round-1 coins.
 func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
 	r := s.Reader()
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return CoinsV1{}, fmt.Errorf("pathouter: coins: %w", err)
 	}
@@ -160,7 +160,7 @@ func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
 	if err != nil {
 		return CoinsV1{}, err
 	}
-	lrBits, err := readBits(r, 3*p.LR.F0Bits())
+	lrBits, err := r.ReadString(3 * p.LR.F0Bits())
 	if err != nil {
 		return CoinsV1{}, err
 	}
@@ -193,8 +193,8 @@ type Round2Node struct {
 // Encode writes the round-2 node label.
 func (l Round2Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.ST.Encode(p.ST))
-	appendBits(&w, l.LR.Encode(p.LR))
+	w.WriteString(l.ST.Encode(p.ST))
+	w.WriteString(l.LR.Encode(p.LR))
 	w.WriteBool(l.HasRightEdges)
 	w.WriteBool(l.HasLeftEdges)
 	l.Above.encode(&w, p)
@@ -204,7 +204,7 @@ func (l Round2Node) Encode(p Params) bitio.String {
 // DecodeRound2Node parses a round-2 node label.
 func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
 	r := s.Reader()
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return Round2Node{}, fmt.Errorf("pathouter: r2 node: %w", err)
 	}
@@ -212,7 +212,7 @@ func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
 	if err != nil {
 		return Round2Node{}, err
 	}
-	lrBits, err := readBits(r, 7*p.LR.F0Bits())
+	lrBits, err := r.ReadString(7 * p.LR.F0Bits())
 	if err != nil {
 		return Round2Node{}, err
 	}
@@ -246,7 +246,7 @@ type Round2Edge struct {
 // Encode writes the round-2 edge label.
 func (l Round2Edge) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.LR.Encode(p.LR))
+	w.WriteString(l.LR.Encode(p.LR))
 	l.Name.encode(&w, p)
 	l.Succ.encode(&w, p)
 	return w.String()
@@ -255,7 +255,7 @@ func (l Round2Edge) Encode(p Params) bitio.String {
 // DecodeRound2Edge parses a round-2 edge label.
 func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
 	r := s.Reader()
-	lrBits, err := readBits(r, p.LR.F0Bits())
+	lrBits, err := r.ReadString(p.LR.F0Bits())
 	if err != nil {
 		return Round2Edge{}, fmt.Errorf("pathouter: r2 edge: %w", err)
 	}
@@ -272,22 +272,4 @@ func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
 		return Round2Edge{}, err
 	}
 	return Round2Edge{LR: lr, Name: nm, Succ: sc}, nil
-}
-
-func appendBits(w *bitio.Writer, s bitio.String) {
-	for i := 0; i < s.Len(); i++ {
-		w.WriteBit(s.Bit(i))
-	}
-}
-
-func readBits(r *bitio.Reader, n int) (bitio.String, error) {
-	var w bitio.Writer
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return bitio.String{}, err
-		}
-		w.WriteBit(b)
-	}
-	return w.String(), nil
 }

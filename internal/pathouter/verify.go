@@ -2,6 +2,7 @@ package pathouter
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/dip"
@@ -48,8 +49,40 @@ type edgeRec struct {
 	nbrR3 lrsort.Round3Node
 }
 
+// decideScratch holds Decide's per-node tables. Every element type is
+// pointer-free, so the backing arrays are never scanned by the garbage
+// collector. Decide takes one from decidePool instead of allocating
+// about ten slices per node; see DESIGN.md §9 for why the pool matters
+// to peak memory, not just to allocation counts.
+type decideScratch struct {
+	nbrR1       []Round1Node
+	nbrR2       []Round2Node
+	nbrR3       []lrsort.Round3Node
+	fcNbr       []forestcode.Label
+	nbrSums     []spantree.Sum
+	edges       []edgeRec
+	lrEdges     []lrsort.EdgeView
+	right, left []edgeRec
+	used        []bool
+}
+
+var decidePool = sync.Pool{New: func() any { return new(decideScratch) }}
+
+// resize sets the scratch table *s to length n, reusing its backing
+// array when it is large enough, and returns it. Callers overwrite every
+// element they read, so nothing carries over from another node.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
 // Decide runs the full composed verification at one node.
 func (vf Verifier) Decide(view *dip.View) bool {
+	sc := decidePool.Get().(*decideScratch)
+	defer decidePool.Put(sc)
 	p := vf.P
 
 	ownR1, err := DecodeRound1Node(view.Own[0], p)
@@ -73,9 +106,9 @@ func (vf Verifier) Decide(view *dip.View) bool {
 		return false
 	}
 
-	nbrR1 := make([]Round1Node, view.Deg)
-	nbrR2 := make([]Round2Node, view.Deg)
-	nbrR3 := make([]lrsort.Round3Node, view.Deg)
+	nbrR1 := resize(&sc.nbrR1, view.Deg)
+	nbrR2 := resize(&sc.nbrR2, view.Deg)
+	nbrR3 := resize(&sc.nbrR3, view.Deg)
 	for port := 0; port < view.Deg; port++ {
 		if nbrR1[port], err = DecodeRound1Node(view.Nbr[port][0], p); err != nil {
 			return false
@@ -89,7 +122,7 @@ func (vf Verifier) Decide(view *dip.View) bool {
 	}
 
 	// --- Stage A: path commitment -------------------------------------
-	fcNbr := make([]forestcode.Label, view.Deg)
+	fcNbr := resize(&sc.fcNbr, view.Deg)
 	for port := range fcNbr {
 		fcNbr[port] = nbrR1[port].FC
 	}
@@ -106,7 +139,7 @@ func (vf Verifier) Decide(view *dip.View) bool {
 		childPort = dec.ChildPorts[0]
 	}
 	var parentSum *spantree.Sum
-	nbrSums := make([]spantree.Sum, view.Deg)
+	nbrSums := resize(&sc.nbrSums, view.Deg)
 	for port := 0; port < view.Deg; port++ {
 		nbrSums[port] = nbrR2[port].ST
 		if port == parentPort {
@@ -118,7 +151,7 @@ func (vf Verifier) Decide(view *dip.View) bool {
 	}
 
 	// --- Decode the non-path edges -------------------------------------
-	var edges []edgeRec
+	edges := sc.edges[:0]
 	for port := 0; port < view.Deg; port++ {
 		if port == parentPort || port == childPort {
 			continue
@@ -145,41 +178,46 @@ func (vf Verifier) Decide(view *dip.View) bool {
 			nbrR3: nbrR3[port],
 		})
 	}
+	sc.edges = edges
 
 	// --- Stage B: LR-sorting -------------------------------------------
-	lrView := &lrsort.NodeView{
-		R1: ownR1.LR,
-		R2: ownR2.LR,
-		R3: ownR3,
-		C1: coins1.LR,
-		C2: coins2,
-	}
-	if parentPort != -1 {
-		lrView.HasLeft = true
-		lrView.Left = &lrsort.NbrLabels{R1: nbrR1[parentPort].LR, R2: nbrR2[parentPort].LR, R3: nbrR3[parentPort]}
-	}
-	if childPort != -1 {
-		lrView.HasRight = true
-		lrView.Right = &lrsort.NbrLabels{R1: nbrR1[childPort].LR, R2: nbrR2[childPort].LR, R3: nbrR3[childPort]}
-	}
+	lrEdges := sc.lrEdges[:0]
 	for _, e := range edges {
-		lrView.Edges = append(lrView.Edges, lrsort.EdgeView{
+		lrEdges = append(lrEdges, lrsort.EdgeView{
 			Out: e.out,
 			R1:  e.r1.LR,
 			R2:  e.r2.LR,
 			Nbr: lrsort.NbrLabels{R1: e.nbrR1.LR, R2: e.nbrR2.LR, R3: e.nbrR3},
 		})
 	}
-	if !lrsort.CheckNode(p.LR, lrView) {
+	sc.lrEdges = lrEdges
+	lrView := lrsort.NodeView{
+		R1:    ownR1.LR,
+		R2:    ownR2.LR,
+		R3:    ownR3,
+		C1:    coins1.LR,
+		C2:    coins2,
+		Edges: lrEdges,
+	}
+	var left, right lrsort.NbrLabels
+	if parentPort != -1 {
+		left = lrsort.NbrLabels{R1: nbrR1[parentPort].LR, R2: nbrR2[parentPort].LR, R3: nbrR3[parentPort]}
+		lrView.HasLeft, lrView.Left = true, &left
+	}
+	if childPort != -1 {
+		right = lrsort.NbrLabels{R1: nbrR1[childPort].LR, R2: nbrR2[childPort].LR, R3: nbrR3[childPort]}
+		lrView.HasRight, lrView.Right = true, &right
+	}
+	if !lrsort.CheckNode(p.LR, &lrView) {
 		return false
 	}
 
 	// --- Stage C: nesting verification ----------------------------------
-	return vf.checkNesting(view, ownR2, coins1, edges, parentPort, childPort, nbrR2)
+	return vf.checkNesting(sc, ownR2, coins1, edges, parentPort, childPort, nbrR2)
 }
 
-func (vf Verifier) checkNesting(view *dip.View, ownR2 Round2Node, coins1 CoinsV1, edges []edgeRec, parentPort, childPort int, nbrR2 []Round2Node) bool {
-	var right, left []edgeRec
+func (vf Verifier) checkNesting(sc *decideScratch, ownR2 Round2Node, coins1 CoinsV1, edges []edgeRec, parentPort, childPort int, nbrR2 []Round2Node) bool {
+	right, left := sc.right[:0], sc.left[:0]
 	for _, e := range edges {
 		if e.out {
 			right = append(right, e)
@@ -187,6 +225,7 @@ func (vf Verifier) checkNesting(view *dip.View, ownR2 Round2Node, coins1 CoinsV1
 			left = append(left, e)
 		}
 	}
+	sc.right, sc.left = right, left
 
 	// Side flags must match reality.
 	if ownR2.HasRightEdges != (len(right) > 0) || ownR2.HasLeftEdges != (len(left) > 0) {
@@ -222,13 +261,13 @@ func (vf Verifier) checkNesting(view *dip.View, ownR2 Round2Node, coins1 CoinsV1
 	// Chains (conditions (1)-(3) plus the anchors of (4)/(5)).
 	if len(right) > 0 {
 		anchor := nbrR2[childPort].Above
-		if !chainExists(right, anchor, ownR2.Above, true) {
+		if !chainExists(sc, right, anchor, ownR2.Above, true) {
 			return false
 		}
 	}
 	if len(left) > 0 {
 		anchor := nbrR2[parentPort].Above
-		if !chainExists(left, anchor, ownR2.Above, false) {
+		if !chainExists(sc, left, anchor, ownR2.Above, false) {
 			return false
 		}
 	}
@@ -287,9 +326,10 @@ func checkMarks(edges []edgeRec, rightSide bool) bool {
 // names (exhausting it counts as rejection — sound, and honest runs only
 // reach it through name collisions that already break completeness with
 // probability 2^-Θ(L)).
-func chainExists(edges []edgeRec, anchor, above Name, rightSide bool) bool {
+func chainExists(sc *decideScratch, edges []edgeRec, anchor, above Name, rightSide bool) bool {
 	k := len(edges)
-	used := make([]bool, k)
+	used := resize(&sc.used, k)
+	clear(used)
 	budget := 64 * (k + 1)
 	isLongest := func(e edgeRec) bool {
 		if rightSide {

@@ -54,14 +54,14 @@ type structR1 struct {
 
 func (l structR1) encode() bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.FC.Encode())
+	w.WriteString(l.FC.Encode())
 	w.WriteBool(l.InP1)
 	return w.String()
 }
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := readBits(r, forestcode.LabelBits)
+	fcBits, err := r.ReadString(forestcode.LabelBits)
 	if err != nil {
 		return structR1{}, fmt.Errorf("seriesparallel: r1: %w", err)
 	}
@@ -448,22 +448,4 @@ func StructuralProtocol(g *graph.Graph, p Params, plan *Plan) *dip.Protocol {
 		NewProver:      func() dip.Prover { return &structProver{p: p, plan: plan, g: g} },
 		Verifier:       structVerifier{p: p},
 	}
-}
-
-func appendBits(w *bitio.Writer, s bitio.String) {
-	for i := 0; i < s.Len(); i++ {
-		w.WriteBit(s.Bit(i))
-	}
-}
-
-func readBits(r *bitio.Reader, n int) (bitio.String, error) {
-	var w bitio.Writer
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return bitio.String{}, err
-		}
-		w.WriteBit(b)
-	}
-	return w.String(), nil
 }

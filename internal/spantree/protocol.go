@@ -67,10 +67,7 @@ func (hp *honestProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 		a := dip.NewAssignment(g)
 		for v := 0; v < g.N(); v++ {
 			var w bitio.Writer
-			lb := labels[v].Encode()
-			for i := 0; i < lb.Len(); i++ {
-				w.WriteBit(lb.Bit(i))
-			}
+			w.WriteString(labels[v].Encode())
 			w.WriteBool(parent[v] == -1)
 			a.Node[v] = w.String()
 		}
@@ -208,12 +205,8 @@ func decodeRound0(view *dip.View) (own round0Label, nbr []round0Label, ok bool) 
 			return round0Label{}, false
 		}
 		r := s.Reader()
-		var w bitio.Writer
-		for i := 0; i < forestcode.LabelBits; i++ {
-			b, _ := r.ReadBit()
-			w.WriteBit(b)
-		}
-		fc, err := forestcode.DecodeLabel(w.String())
+		fcBits, _ := r.ReadString(forestcode.LabelBits)
+		fc, err := forestcode.DecodeLabel(fcBits)
 		if err != nil {
 			return round0Label{}, false
 		}

@@ -189,7 +189,7 @@ type structR1 struct {
 
 func (l structR1) encode() bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.FC.Encode())
+	w.WriteString(l.FC.Encode())
 	w.WriteBool(l.Cut)
 	w.WriteBool(l.Leader)
 	return w.String()
@@ -197,7 +197,7 @@ func (l structR1) encode() bitio.String {
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := readBits(r, forestcode.LabelBits)
+	fcBits, err := r.ReadString(forestcode.LabelBits)
 	if err != nil {
 		return structR1{}, fmt.Errorf("treewidth2: r1: %w", err)
 	}
@@ -224,7 +224,7 @@ type structCoin struct {
 func (c structCoin) encode(p Params) bitio.String {
 	var w bitio.Writer
 	w.WriteUint(c.S, p.L)
-	appendBits(&w, c.ST.Encode(p.ST))
+	w.WriteString(c.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -234,7 +234,7 @@ func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
 	if err != nil {
 		return structCoin{}, fmt.Errorf("treewidth2: coin: %w", err)
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return structCoin{}, err
 	}
@@ -257,7 +257,7 @@ func (l structR2) encode(p Params) bitio.String {
 	w.WriteUint(l.Self, p.L)
 	w.WriteUint(l.Sep, p.L)
 	w.WriteUint(l.Lead, p.L)
-	appendBits(&w, l.ST.Encode(p.ST))
+	w.WriteString(l.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -274,7 +274,7 @@ func decodeStructR2(s bitio.String, p Params) (structR2, error) {
 	if l.Lead, err = r.ReadUint(p.L); err != nil {
 		return l, err
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return l, err
 	}
@@ -582,22 +582,4 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 		}
 	}
 	return res, nil
-}
-
-func appendBits(w *bitio.Writer, s bitio.String) {
-	for i := 0; i < s.Len(); i++ {
-		w.WriteBit(s.Bit(i))
-	}
-}
-
-func readBits(r *bitio.Reader, n int) (bitio.String, error) {
-	var w bitio.Writer
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return bitio.String{}, err
-		}
-		w.WriteBit(b)
-	}
-	return w.String(), nil
 }
