@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blockcut"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/planar"
@@ -19,8 +20,12 @@ func TestHonestPlanOnGeneratedInstances(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Every component path must be properly nested.
-		for _, sub := range plan.Components(gi.G) {
-			if !planar.ProperlyNested(sub.G, sub.Pos) {
+		for _, path := range plan.Blocks {
+			pos := make([]int, len(path))
+			for i := range pos {
+				pos[i] = i
+			}
+			if !planar.ProperlyNested(blockcut.Induced(path, gi.G.Edges()), pos) {
 				t.Fatalf("trial %d: component path not nested", trial)
 			}
 		}
@@ -87,10 +92,6 @@ func TestSoundnessCrossingChords(t *testing.T) {
 		gi := gen.BiconnectedOuterplanar(rng, n, 0.4)
 		g := gi.G.Clone()
 		// Add a chord crossing an existing one w.r.t. the cycle order.
-		pos := make([]int, n)
-		for i, v := range gi.Cycle {
-			pos[v] = i
-		}
 		added := false
 		for attempt := 0; attempt < 200 && !added; attempt++ {
 			a := rng.Intn(n - 3)
@@ -117,15 +118,15 @@ func TestSoundnessCrossingChords(t *testing.T) {
 		}
 		total++
 		// Adversarial plan: single component, cycle-based path.
-		plan := &Plan{
-			Paths:    [][]int{gi.Cycle},
-			Home:     make([]int, n),
-			HomePos:  pos,
-			ParentF:  make([]int, n),
-			Root:     gi.Cycle[0],
-			RootComp: 0,
-			IsCut:    make([]bool, n),
-			IsLeader: make([]bool, n),
+		plan := &blockcut.Plan{
+			Blocks:    [][]int{gi.Cycle},
+			Lead:      []int{gi.Cycle[0]},
+			Home:      make([]int, n),
+			ParentF:   make([]int, n),
+			Root:      gi.Cycle[0],
+			RootBlock: 0,
+			IsCut:     make([]bool, n),
+			IsLeader:  make([]bool, n),
 		}
 		plan.IsLeader[gi.Cycle[0]] = true
 		plan.ParentF[gi.Cycle[0]] = -1

@@ -5,14 +5,13 @@
 // structure with constant-size labels, and runs the path-outerplanarity
 // protocol of Theorem 1.2 inside every component in parallel:
 //
-//   - stage 1 commits, for every component C, the sub-path P'_C (the
-//     Hamiltonian path of C minus its separating node) and the connecting
-//     edge e_C via the forest code, plus cut/leader flags; random strings
-//     sep(.) and lead(.) sampled by cut nodes and leaders isolate the
-//     components (a non-cut node must not have edges leaving its
-//     component);
-//   - stage 2 verifies that the union of the P_C paths is a spanning tree
-//     (Lemma 2.5, amplified);
+//   - stages 1 and 2 are the shared block–cut structural stage of
+//     internal/blockcut, with every component spanned by the sub-path
+//     P'_C (the Hamiltonian path of C minus its separating node) and
+//     the connecting edge e_C; on top of its checks a node accepts only
+//     if it has at most one child in its own component (so F is a path
+//     there) and, as the last node of a path, is adjacent to the
+//     component's separating node;
 //   - stage 3 runs biconnected-outerplanarity (Theorem 6.1 =
 //     path-outerplanarity plus an endpoint edge) inside each component,
 //     with the separating node's labels deferred to its component
@@ -26,188 +25,50 @@ package outerplanar
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/blockcut"
 	"repro/internal/graph"
 	"repro/internal/planar"
 )
 
-// Plan is the prover's decomposition witness: one Hamiltonian path per
-// biconnected component, starting at the component's separating node.
-type Plan struct {
-	// Paths[c] lists component c's path P_C; Paths[c][0] is the
-	// separating node (or the R-leader's predecessor-free start for the
-	// root component).
-	Paths [][]int
-	// Home[v] is the component whose P'_C contains v (every vertex
-	// belongs to exactly one).
-	Home []int
-	// HomePos[v] is v's index in Paths[Home[v]].
-	HomePos []int
-	// ParentF[v] is v's parent in the forest F = union of the P_C.
-	ParentF []int
-	// Root is the first node of the root component's path.
-	Root int
-	// RootComp is the index of the root component in Paths.
-	RootComp int
-	// IsCut/IsLeader flag cut vertices and component leaders.
-	IsCut, IsLeader []bool
-}
-
 // HonestPlan computes the decomposition for an outerplanar graph using
-// the centralized oracles (the prover sees the whole instance). It fails
-// when some biconnected component is not outerplanar — i.e., on
-// no-instances, where a cheating prover must craft its own Plan.
-func HonestPlan(g *graph.Graph) (*Plan, error) {
-	n := g.N()
-	if n < 2 {
-		return nil, errors.New("outerplanar: need n >= 2")
-	}
-	if !g.IsConnected() {
-		return nil, errors.New("outerplanar: need a connected graph")
-	}
-	bct := graph.NewBlockCutTree(g, 0)
-	dec := bct.Decomp
-	nb := len(dec.Components)
-
-	p := &Plan{
-		Paths:    make([][]int, nb),
-		Home:     make([]int, n),
-		HomePos:  make([]int, n),
-		ParentF:  make([]int, n),
-		IsCut:    append([]bool(nil), dec.IsCut...),
-		IsLeader: make([]bool, n),
-	}
-	for v := range p.Home {
-		p.Home[v] = -1
-		p.ParentF[v] = -2
-	}
-
-	// Process blocks root-first so each separating vertex's home is fixed
-	// by its parent block before child blocks reference it.
-	order := blocksByDepth(bct)
-	for _, c := range order {
-		verts := dec.Vertices[c]
-		sep := bct.ParentCut[c]
-		if c == bct.RootBlock {
-			sep = verts[0]
-		}
-		path, err := componentPath(g, dec.Components[c], verts, sep)
-		if err != nil {
-			return nil, fmt.Errorf("outerplanar: component %d: %w", c, err)
-		}
-		p.Paths[c] = path
-		if c == bct.RootBlock {
-			// The root component's "leader" is its own first node; the
-			// second node is an ordinary path member.
-			p.Root = path[0]
-			p.RootComp = c
-			p.Home[path[0]] = c
-			p.HomePos[path[0]] = 0
-			p.ParentF[path[0]] = -1
-			p.IsLeader[path[0]] = true
-		} else {
-			p.IsLeader[path[1]] = true
-		}
-		for i := 1; i < len(path); i++ {
-			p.Home[path[i]] = c
-			p.HomePos[path[i]] = i
-			p.ParentF[path[i]] = path[i-1]
-		}
-	}
-	for v := 0; v < n; v++ {
-		if p.Home[v] == -1 || p.ParentF[v] == -2 {
-			return nil, fmt.Errorf("outerplanar: vertex %d not covered by the decomposition", v)
-		}
+// the centralized oracles (the prover sees the whole instance): a
+// block–cut plan whose Blocks[c] is component c's Hamiltonian path P_C,
+// starting at the component's separating node (the root, for the root
+// component). It fails when some biconnected component is not
+// outerplanar — i.e., on no-instances, where a cheating prover must
+// craft its own plan.
+func HonestPlan(g *graph.Graph) (*blockcut.Plan, error) {
+	p, err := blockcut.HonestPlan(g, hamiltonianPath)
+	if err != nil {
+		return nil, fmt.Errorf("outerplanar: %w", err)
 	}
 	return p, nil
 }
 
-func blocksByDepth(bct *graph.BlockCutTree) []int {
-	var order []int
-	queue := []int{bct.RootBlock}
-	for i := 0; i < len(queue); i++ {
-		c := queue[i]
-		order = append(order, c)
-		queue = append(queue, bct.ChildBlocks[c]...)
-	}
-	return order
-}
-
-// componentPath returns a Hamiltonian path of the component starting at
-// sep, such that the non-path edges nest above it (a Hamiltonian cycle of
-// the biconnected outerplanar component, broken at sep).
-func componentPath(g *graph.Graph, edges []graph.Edge, verts []int, sep int) ([]int, error) {
-	if len(verts) == 2 {
-		other := verts[0]
-		if other == sep {
-			other = verts[1]
-		}
-		return []int{sep, other}, nil
-	}
-	sub, orig := inducedByEdges(edges, verts)
-	cyc, err := planar.HamiltonianCycleOuterplanar(sub)
-	if err != nil {
-		return nil, err
-	}
-	// Rotate so sep comes first.
-	sepLocal := -1
-	for i, lv := range cyc {
-		if orig[lv] == sep {
-			sepLocal = i
-			break
+// hamiltonianPath spans a component with its Hamiltonian path from sep:
+// the Hamiltonian cycle of the biconnected outerplanar component, broken
+// at sep, so the non-path edges nest above the path.
+func hamiltonianPath(sub *graph.Graph, sep int) (order, parent []int, err error) {
+	cyc := []int{0, 1}
+	if sub.N() > 2 {
+		if cyc, err = planar.HamiltonianCycleOuterplanar(sub); err != nil {
+			return nil, nil, err
 		}
 	}
-	if sepLocal == -1 {
-		return nil, errors.New("outerplanar: separating node missing from cycle")
+	at := slices.Index(cyc, sep)
+	if at == -1 {
+		return nil, nil, errors.New("separating node missing from cycle")
 	}
-	path := make([]int, len(cyc))
+	order = make([]int, len(cyc))
+	parent = make([]int, len(cyc))
 	for i := range cyc {
-		path[i] = orig[cyc[(sepLocal+i)%len(cyc)]]
-	}
-	return path, nil
-}
-
-func inducedByEdges(edges []graph.Edge, verts []int) (*graph.Graph, []int) {
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	h := graph.New(len(verts))
-	for _, e := range edges {
-		h.MustAddEdge(idx[e.U], idx[e.V])
-	}
-	return h, verts
-}
-
-// Components returns, for each component, the induced sub-instance and
-// the vertex mapping sub -> real (index 0 is the separating node).
-func (p *Plan) Components(g *graph.Graph) []SubInstance {
-	var subs []SubInstance
-	for _, path := range p.Paths {
-		idx := make(map[int]int, len(path))
-		for i, v := range path {
-			idx[v] = i
+		order[i] = cyc[(at+i)%len(cyc)]
+		if i > 0 {
+			parent[order[i]] = order[i-1]
 		}
-		sub := graph.New(len(path))
-		for _, e := range g.Edges() {
-			iu, okU := idx[e.U]
-			iv, okV := idx[e.V]
-			if okU && okV {
-				sub.MustAddEdge(iu, iv)
-			}
-		}
-		pos := make([]int, len(path))
-		for i := range path {
-			pos[i] = i
-		}
-		subs = append(subs, SubInstance{G: sub, Pos: pos, Orig: path})
 	}
-	return subs
-}
-
-// SubInstance is one component's derived path-outerplanarity instance.
-type SubInstance struct {
-	G    *graph.Graph
-	Pos  []int
-	Orig []int // Orig[i] = real vertex behind sub vertex i; Orig[0] = sep
+	parent[sep] = -1
+	return order, parent, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/blockcut"
 	"repro/internal/dip"
 	"repro/internal/graph"
 	"repro/internal/pathouter"
@@ -29,15 +30,38 @@ func ProofSizeBound(n, delta int) int {
 	return 48 * p.L
 }
 
+// pathVerifier layers the Theorem 6.1 path shape on the shared
+// structural checks.
+type pathVerifier struct {
+	blockcut.Verifier
+}
+
+func (pv pathVerifier) Decide(view *dip.View) bool {
+	nd, ok := pv.Check(view)
+	if !ok {
+		return false
+	}
+	switch nd.HomeChildren() {
+	case 0:
+		// Hamiltonian-cycle closure: the last node of a component's
+		// path is adjacent to the component's first node.
+		return nd.SeesSep()
+	case 1:
+		return true
+	}
+	// F is a path inside every component.
+	return false
+}
+
 // Run executes the composed outerplanarity DIP on g. If plan is nil the
 // honest prover derives it with the centralized oracles; a cheating
 // prover passes its own plan (soundness experiments do this with crafted
-// decompositions). Options attach a tracer: the composite opens its own
-// span and nests the structural stage and every component sub-execution
-// under it. Rejecting stages surface in the outcome's Rejections map
+// decompositions), listing each component along its path in Blocks.
+// Options attach a tracer: the composite opens its own span and nests
+// the structural stage and every component sub-execution under it. Rejecting stages surface in the outcome's Rejections map
 // under "structural" (stage 1/2) and "component" (one count per
 // rejecting component sub-run).
-func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
+func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("outerplanar", g.N(), Rounds)
 	defer func() {
@@ -55,11 +79,12 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			return res, nil
 		}
 	}
-	p := NewParams(g.N())
+	p := blockcut.NewParams(g.N())
 
 	// Stage 1+2: structural protocol on the real graph.
 	di := dip.NewInstance(g)
-	structRes, err := StructuralProtocol(di, p, plan).RunOnce(di, rng, cfg.Child("structural")...)
+	stage := blockcut.Protocol("outerplanar-structural", g, p, plan, pathVerifier{blockcut.Verifier{P: p}})
+	structRes, err := stage.RunOnce(di, rng, cfg.Child("structural")...)
 	if err != nil {
 		return nil, fmt.Errorf("outerplanar: structural stage: %w", err)
 	}
@@ -81,18 +106,24 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 		}
 	}
 
-	// Stage 3: path-outerplanarity in every component.
+	// Stage 3: path-outerplanarity in every component, numbered along
+	// its path.
 	accepted := structRes.Accepted
-	for ci, sub := range plan.Components(g) {
-		if sub.G.N() < 2 {
+	for ci, path := range plan.Blocks {
+		sub := blockcut.Induced(path, g.Edges())
+		if sub.N() < 2 {
 			return nil, fmt.Errorf("outerplanar: degenerate component %d", ci)
 		}
-		pp, err := pathouter.NewParams(sub.G.N())
+		pp, err := pathouter.NewParams(sub.N())
 		if err != nil {
 			return nil, err
 		}
-		inst := &pathouter.Instance{G: sub.G, Pos: sub.Pos}
-		sdi := dip.NewInstance(sub.G)
+		pos := make([]int, len(path))
+		for i := range pos {
+			pos[i] = i
+		}
+		inst := &pathouter.Instance{G: sub, Pos: pos}
+		sdi := dip.NewInstance(sub)
 		sres, err := pathouter.Protocol(inst, pp).RunOnce(sdi, rng, cfg.Child(fmt.Sprintf("component-%d", ci))...)
 		if err != nil {
 			if dip.Aborted(err) {
@@ -109,7 +140,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			accepted = false
 		}
 		res.TotalLabelBits += sres.Stats.TotalLabelBits
-		mergeComponentBits(merged, sres.Stats.LabelBits, sub, g)
+		mergeComponentBits(merged, sres.Stats.LabelBits, sub, path)
 	}
 	res.Accepted = accepted
 	for _, row := range merged {
@@ -126,21 +157,22 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 // nodes: ordinary members carry their own labels; the separating node's
 // labels are deferred to each of its component neighbors (paper §6), so
 // cut vertices stay small no matter how many components meet there.
-func mergeComponentBits(merged [][]int, sub [][]int, si SubInstance, g *graph.Graph) {
-	for r, row := range sub {
+// Sub-vertex i of sub is path[i]; sub-vertex 0 is the separating node.
+func mergeComponentBits(merged [][]int, bits [][]int, sub *graph.Graph, path []int) {
+	for r, row := range bits {
 		if r >= len(merged) {
 			break
 		}
-		for sv, bits := range row {
+		for sv, b := range row {
 			if sv == 0 {
 				// Defer the separating node's bits to its neighbors
 				// within the component.
-				for _, u := range si.G.Neighbors(0) {
-					merged[r][si.Orig[u]] += bits
+				for _, u := range sub.Neighbors(0) {
+					merged[r][path[u]] += b
 				}
 				continue
 			}
-			merged[r][si.Orig[sv]] += bits
+			merged[r][path[sv]] += b
 		}
 	}
 }

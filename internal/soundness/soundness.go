@@ -37,8 +37,6 @@ type Config struct {
 	// Seed derives every cell's instance and verifier seeds; two sweeps
 	// with the same Config produce identical rows.
 	Seed int64
-	// Engine selects the execution engine ("" = orchestrated runner).
-	Engine string
 }
 
 // Row is one estimated cell: a (protocol, family, strategy, n) point
@@ -165,9 +163,6 @@ func estimateCell(ctx context.Context, cfg Config, d *protocol.Descriptor, kind,
 			}
 		}
 		var opts []dip.RunOption
-		if cfg.Engine != "" {
-			opts = append(opts, dip.WithEngine(cfg.Engine))
-		}
 		if strategy != "" {
 			adv, err := chaos.New(strategy, seed+int64(i))
 			if err != nil {
