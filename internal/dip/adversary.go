@@ -1,6 +1,9 @@
 package dip
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/bitio"
 	"repro/internal/graph"
 )
@@ -41,7 +44,9 @@ type Adversary interface {
 	// the number of coin strings it altered.
 	ObserveCoins(round int, coins [][]bitio.String) ([][]bitio.String, int)
 	// Corrupt returns the assignment the engine should deliver in the
-	// given prover round and the number of labels it mutated. prev holds
+	// given prover round and the number of labels it mutated. a is the
+	// engine's copy of the prover's assignment, free to mutate in
+	// place; the label strings it holds are immutable. prev holds
 	// the already-delivered (post-corruption) assignments of earlier
 	// rounds. The returned assignment must keep one node label per
 	// vertex and canonical edge keys; violations surface as engine
@@ -59,10 +64,12 @@ func WithAdversary(a Adversary) RunOption {
 }
 
 // corruptRound applies the adversary's per-round interposition shared by
-// both engines: hand the assignment to Corrupt, re-normalize a nil
-// result, and report the mutation count.
+// both engines: hand a copy of the assignment to Corrupt, re-normalize a
+// nil result, and report the mutation count. Corrupt gets a copy because
+// strategies mutate labels in place while a prover may hand the same
+// assignment to every run (a prepared, coin-free first round).
 func corruptRound(adv Adversary, g *graph.Graph, round int, a *Assignment, prev []*Assignment) (*Assignment, int) {
-	a, mut := adv.Corrupt(round, a, prev)
+	a, mut := adv.Corrupt(round, &Assignment{Node: slices.Clone(a.Node), Edge: maps.Clone(a.Edge)}, prev)
 	if a == nil {
 		a = NewAssignment(g)
 	}

@@ -29,6 +29,59 @@ func ProofSizeBound(n, delta int) int {
 	return 128 * p.L
 }
 
+// Prepared is the coin-free half of an embedding run on (G, ρ):
+// everything before the verifier's first coin. It holds the BFS tree T,
+// the spanning-tree sub-instance with T's forest-code commitment, the
+// reduction h(G,T,ρ) with its engine instance (so h freezes once per
+// Prepared), and the path-outerplanarity prover's first round on h.
+// Runs only read it, so one Prepared serves concurrent runs.
+type Prepared struct {
+	g    *graph.Graph
+	rot  *planar.Rotation
+	err  error // n < 2 or no BFS tree: Run reports it
+	tree *graph.Tree
+	st   *spantree.Prepared
+	red  *Reduction // nil when ρ yields no h: the prover fails
+	hErr error      // no parameters for h: Run reports it
+	hdi  *dip.Instance
+	h    *pathouter.Prepared
+}
+
+// Prepare computes the coin-free half of an embedding run on g with the
+// rotation witness rot.
+func Prepare(g *graph.Graph, rot *planar.Rotation) *Prepared {
+	pr := &Prepared{g: g, rot: rot}
+	n := g.N()
+	if n < 2 {
+		pr.err = fmt.Errorf("embedding: need n >= 2")
+		return pr
+	}
+	pr.tree, pr.err = graph.BFSTree(g, 0)
+	if pr.err != nil {
+		return pr
+	}
+	var tEdges []graph.Edge
+	for v, p := range pr.tree.Parent {
+		if p != -1 {
+			tEdges = append(tEdges, graph.Canon(v, p))
+		}
+	}
+	pr.st = spantree.Prepare(spantree.NewInstance(g, tEdges), spantreeParams(n))
+	red, err := BuildReduction(g, rot, pr.tree)
+	if err != nil {
+		return pr
+	}
+	pr.red = red
+	pp, err := pathouter.NewParams(red.H.N())
+	if err != nil {
+		pr.hErr = err
+		return pr
+	}
+	pr.hdi = dip.NewInstance(red.H)
+	pr.h = pathouter.Prepare(&pathouter.Instance{G: red.H, Pos: red.PosH}, pp)
+	return pr
+}
+
 // Run executes the composed planar-embedding DIP: spanning-tree
 // verification of T on the real graph, path-outerplanarity of h(G,T,ρ)
 // with copies simulated by their owners, and the per-node corner-order
@@ -37,7 +90,14 @@ func ProofSizeBound(n, delta int) int {
 // without them a twist at a tree leaf would be invisible to h — see
 // DESIGN.md §4). Rejecting stages surface in the outcome's Rejections
 // map under "tree", "nesting", and "corner".
-func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
+func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (*dip.Outcome, error) {
+	return Prepare(g, rot).Run(rng, opts...)
+}
+
+// Run executes one run of the prepared embedding DIP, as the
+// package-level Run does.
+func (pr *Prepared) Run(rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
+	g := pr.g
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("embedding", g.N(), Rounds)
 	defer func() {
@@ -48,26 +108,13 @@ func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOp
 		}
 	}()
 	res = &dip.Outcome{Rounds: Rounds}
-	n := g.N()
-	if n < 2 {
-		return nil, fmt.Errorf("embedding: need n >= 2")
-	}
-	tree, err := graph.BFSTree(g, 0)
-	if err != nil {
-		return nil, err
+	if pr.err != nil {
+		return nil, pr.err
 	}
 
 	// Stage A: commit and verify T on the real graph (3 rounds, runs in
 	// parallel with the rest).
-	stp := spantreeParams(n)
-	var tEdges []graph.Edge
-	for v, p := range tree.Parent {
-		if p != -1 {
-			tEdges = append(tEdges, graph.Canon(v, p))
-		}
-	}
-	sti := spantree.NewInstance(g, tEdges)
-	stRes, err := spantree.Protocol(sti, stp).RunOnce(sti, rng, cfg.Child("spantree")...)
+	stRes, err := pr.st.Protocol().RunOnce(pr.st.Instance(), rng, cfg.Child("spantree")...)
 	if err != nil {
 		return nil, fmt.Errorf("embedding: spanning-tree stage: %w", err)
 	}
@@ -76,18 +123,14 @@ func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOp
 	}
 
 	// Stage B: path-outerplanarity of h.
-	red, err := BuildReduction(g, rot, tree)
-	if err != nil {
+	if pr.red == nil {
 		res.ProverFailed = true
 		return res, nil
 	}
-	pp, err := pathouter.NewParams(red.H.N())
-	if err != nil {
-		return nil, err
+	if pr.hErr != nil {
+		return nil, pr.hErr
 	}
-	inst := &pathouter.Instance{G: red.H, Pos: red.PosH}
-	hdi := dip.NewInstance(red.H)
-	hRes, err := pathouter.Protocol(inst, pp).RunOnce(hdi, rng, cfg.Child("reduction-h")...)
+	hRes, err := pr.h.Protocol().RunOnce(pr.hdi, rng, cfg.Child("reduction-h")...)
 	if err != nil {
 		if dip.Aborted(err) {
 			return nil, err
@@ -101,13 +144,13 @@ func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOp
 
 	// Stage C: corner-order checks at every real node against its own
 	// rotation input, using the same name/succ labels.
-	cornerOK := checkCorners(g, rot, tree, red, pp, hRes)
+	cornerOK := checkCorners(g, pr.rot, pr.tree, pr.red, pr.h.P, hRes)
 	if !cornerOK {
 		res.Reject("corner")
 	}
 
 	res.Accepted = stRes.Accepted && hRes.Accepted && cornerOK
-	res.ProofSizeBits = mergeBits(g, red, stRes, hRes)
+	res.ProofSizeBits = mergeBits(g, pr.red, stRes, hRes)
 	res.TotalLabelBits = stRes.Stats.TotalLabelBits + hRes.Stats.TotalLabelBits
 	return res, nil
 }

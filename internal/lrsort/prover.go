@@ -75,14 +75,19 @@ func NewHonest(p Params, inst *Instance) (*Honest, error) {
 	return &Honest{P: p, Inst: inst, at: at}, nil
 }
 
+// Fork returns a prover for another run that shares h's round-1
+// products, read-only from then on, and computes its own later rounds.
+// h must have completed Round1 and nothing after it.
+func (h *Honest) Fork() *Honest {
+	return &Honest{P: h.P, Inst: h.Inst, at: h.at, R1Node: h.R1Node, R1Edge: h.R1Edge}
+}
+
 // Round1 computes the structural commitment.
 func (h *Honest) Round1() {
 	p := h.P
 	n := h.Inst.G.N()
 	h.R1Node = make([]Round1Node, n)
 	h.R1Edge = make(map[graph.Edge]Round1Edge, len(h.Inst.Edges))
-	h.inPairs = make([][]pair, n)
-	h.outPairs = make([][]pair, n)
 
 	// Per-node structure.
 	for v := 0; v < n; v++ {
@@ -184,6 +189,8 @@ func (h *Honest) Round2(coins []CoinsV1) {
 	h.R2Node = make([]Round2Node, n)
 	h.R2Edge = make(map[graph.Edge]Round2Edge, len(h.R1Edge))
 	h.prefPos = make([]uint64, n)
+	h.inPairs = make([][]pair, n)
+	h.outPairs = make([][]pair, n)
 
 	// Per-block full x1 products at r.
 	bcast := make([]uint64, p.NumBlocks)

@@ -26,19 +26,21 @@ type Honest struct {
 	P    Params
 	Inst *Instance
 
-	at     []int
-	parent []int
-	lr     *lrsort.Honest
-	// Interval structure of non-path edges.
-	succ     map[graph.Edge]Name
-	longTR   map[graph.Edge]bool
-	longHL   map[graph.Edge]bool
-	nameOf   map[graph.Edge]Name
-	above    []Name
+	at       []int
+	parent   []int
 	dirEdges []lrsort.DirectedEdge
+	lr       *lrsort.Honest
+	// r1 is the round-1 assignment, computed by NewHonest: it depends
+	// on no coin, so a fork shares it.
+	r1 *dip.Assignment
+	// Interval structure of non-path edges, from the round-2 names.
+	succ   map[graph.Edge]Name
+	nameOf map[graph.Edge]Name
+	above  []Name
 }
 
-// NewHonest validates the witness and prepares the prover.
+// NewHonest validates the witness and computes the prover's first
+// round, which precedes every coin.
 func NewHonest(p Params, inst *Instance) (*Honest, error) {
 	n := inst.G.N()
 	if len(inst.Pos) != n {
@@ -79,7 +81,11 @@ func NewHonest(p Params, inst *Instance) (*Honest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Honest{P: p, Inst: inst, at: at, parent: parent, lr: lrH, dirEdges: dirs}, nil
+	h := &Honest{P: p, Inst: inst, at: at, parent: parent, lr: lrH, dirEdges: dirs}
+	if h.r1, err = h.round1(); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Round is the dip.Prover entry point.
@@ -87,7 +93,7 @@ func (h *Honest) Round(round int, coins [][]bitio.String) (*dip.Assignment, erro
 	g := h.Inst.G
 	switch round {
 	case 0:
-		return h.round1()
+		return h.r1, nil
 	case 1:
 		return h.round2(coins[0])
 	case 2:
@@ -116,6 +122,22 @@ func (h *Honest) Round(round int, coins [][]bitio.String) (*dip.Assignment, erro
 	return nil, fmt.Errorf("pathouter: unexpected prover round %d", round)
 }
 
+// fork returns a prover for another run that shares h's round-1 state
+// and assignment, read-only from then on. h must not have answered any
+// coin.
+func (h *Honest) fork() *Honest {
+	return &Honest{P: h.P, Inst: h.Inst, at: h.at, parent: h.parent, dirEdges: h.dirEdges, lr: h.lr.Fork(), r1: h.r1}
+}
+
+// chordAssignment returns an empty assignment with room for a label on
+// every chord: the only edges the prover labels.
+func (h *Honest) chordAssignment() *dip.Assignment {
+	return &dip.Assignment{
+		Node: make([]bitio.String, h.Inst.G.N()),
+		Edge: make(map[graph.Edge]bitio.String, len(h.dirEdges)),
+	}
+}
+
 func (h *Honest) round1() (*dip.Assignment, error) {
 	g := h.Inst.G
 	fc, err := forestcode.EncodeForest(g, h.parent)
@@ -123,9 +145,9 @@ func (h *Honest) round1() (*dip.Assignment, error) {
 		return nil, err
 	}
 	h.lr.Round1()
-	h.computeNesting()
+	longTR, longHL := h.longestMarks()
 
-	a := dip.NewEdgeAssignment(g)
+	a := h.chordAssignment()
 	for v := 0; v < g.N(); v++ {
 		a.Node[v] = Round1Node{FC: fc[v], LR: h.lr.R1Node[v]}.Encode(h.P)
 	}
@@ -134,19 +156,20 @@ func (h *Honest) round1() (*dip.Assignment, error) {
 		a.Edge[e] = Round1Edge{
 			TailIsCanonU:     de.Tail == e.U,
 			LR:               h.lr.R1Edge[e],
-			LongestTailRight: h.longTR[e],
-			LongestHeadLeft:  h.longHL[e],
+			LongestTailRight: longTR[e],
+			LongestHeadLeft:  longHL[e],
 		}.Encode(h.P)
 	}
 	return a, nil
 }
 
-// computeNesting derives the honest longest-edge marks and the successor
-// structure of the interval family.
-func (h *Honest) computeNesting() {
+// longestMarks derives the honest longest-edge marks of the interval
+// family: whether each chord is its tail's longest right edge and its
+// head's longest left edge.
+func (h *Honest) longestMarks() (longTR, longHL map[graph.Edge]bool) {
 	pos := h.Inst.Pos
-	h.longTR = map[graph.Edge]bool{}
-	h.longHL = map[graph.Edge]bool{}
+	longTR = make(map[graph.Edge]bool, len(h.dirEdges))
+	longHL = make(map[graph.Edge]bool, len(h.dirEdges))
 
 	maxHead := map[int]int{} // tail -> furthest head position
 	minTail := map[int]int{} // head -> nearest-to-left tail position
@@ -160,9 +183,10 @@ func (h *Honest) computeNesting() {
 	}
 	for _, de := range h.dirEdges {
 		e := graph.Canon(de.Tail, de.Head)
-		h.longTR[e] = pos[de.Head] == maxHead[de.Tail]
-		h.longHL[e] = pos[de.Tail] == minTail[de.Head]
+		longTR[e] = pos[de.Head] == maxHead[de.Tail]
+		longHL[e] = pos[de.Tail] == minTail[de.Head]
 	}
+	return longTR, longHL
 }
 
 // round2 consumes the first coins and produces the sums, LR chains, and
@@ -199,7 +223,7 @@ func (h *Honest) round2(rawCoins []bitio.String) (*dip.Assignment, error) {
 		hasLeft[de.Head] = true
 	}
 
-	a := dip.NewEdgeAssignment(g)
+	a := h.chordAssignment()
 	for v := 0; v < n; v++ {
 		a.Node[v] = Round2Node{
 			ST:            sums[v],
@@ -226,8 +250,8 @@ func (h *Honest) round2(rawCoins []bitio.String) (*dip.Assignment, error) {
 func (h *Honest) computeNames(sv []uint64) {
 	pos := h.Inst.Pos
 	n := len(pos)
-	h.nameOf = map[graph.Edge]Name{}
-	h.succ = map[graph.Edge]Name{}
+	h.nameOf = make(map[graph.Edge]Name, len(h.dirEdges))
+	h.succ = make(map[graph.Edge]Name, len(h.dirEdges))
 	h.above = make([]Name, n)
 	for v := range h.above {
 		h.above[v] = Name{Virtual: true}
@@ -237,7 +261,7 @@ func (h *Honest) computeNames(sv []uint64) {
 		l, r int
 		e    graph.Edge
 	}
-	var ivs []iv
+	ivs := make([]iv, 0, len(h.dirEdges))
 	for _, de := range h.dirEdges {
 		e := graph.Canon(de.Tail, de.Head)
 		h.nameOf[e] = Name{A: sv[de.Tail], B: sv[de.Head]}

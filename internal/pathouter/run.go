@@ -6,21 +6,15 @@ import (
 	"repro/internal/dip"
 )
 
-// Run executes the path-outerplanarity DIP once on the engine instance
-// di (its graph plus the Hamiltonian-path witness pos), returning the
-// unified outcome every protocol package exposes. Callers that run many
-// times pass the same di — the dense frozen form is memoized on it, so
-// repeated runs freeze once. A prover that cannot label the instance
-// surfaces as ProverFailed (the verifier rejects missing labels), not
-// as an error; context aborts still propagate as errors.
-func Run(di *dip.Instance, pos []int, rng *rand.Rand, opts ...dip.RunOption) (*dip.Outcome, error) {
-	g := di.G
-	p, err := NewParams(g.N())
-	if err != nil {
-		return nil, err
-	}
-	inst := &Instance{G: g, Pos: pos}
-	res, err := Protocol(inst, p).RunOnce(di, rng, opts...)
+// Run executes the prepared path-outerplanarity DIP once on di, the
+// engine instance of the prepared graph, returning the unified outcome
+// every protocol package exposes. Callers that run many times pass the
+// same di — the dense frozen form is memoized on it, so repeated runs
+// freeze once. A prover that cannot label the instance surfaces as
+// ProverFailed (the verifier rejects missing labels), not as an error;
+// context aborts still propagate as errors.
+func (pr *Prepared) Run(di *dip.Instance, rng *rand.Rand, opts ...dip.RunOption) (*dip.Outcome, error) {
+	res, err := pr.Protocol().RunOnce(di, rng, opts...)
 	if err != nil {
 		if dip.Aborted(err) {
 			return nil, err

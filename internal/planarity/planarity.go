@@ -35,6 +35,37 @@ func ProofSizeBound(n, delta int) int {
 	return b + 2*5*bitio.BitsFor(delta)
 }
 
+// Prepared is the coin-free half of a planarity run: the embedding the
+// prover ships, the embedding run prepared on it, and the shipping
+// term. Runs only read it, so one Prepared serves concurrent runs.
+type Prepared struct {
+	g            *graph.Graph
+	err          error               // n < 2: Run reports it
+	emb          *embedding.Prepared // nil when the prover has no embedding
+	rotationBits int
+}
+
+// Prepare resolves the prover's embedding of g — hint when non-nil,
+// otherwise the DMP embedder's — and prepares the embedding run on it.
+func Prepare(g *graph.Graph, hint *planar.Rotation) *Prepared {
+	pr := &Prepared{g: g}
+	if g.N() < 2 {
+		pr.err = errors.New("planarity: need n >= 2")
+		return pr
+	}
+	rot := hint
+	if rot == nil {
+		r, err := planar.Embed(g)
+		if err != nil {
+			return pr
+		}
+		rot = r
+	}
+	pr.emb = embedding.Prepare(g, rot)
+	pr.rotationBits = shippingBits(g)
+	return pr
+}
+
 // Run executes the planarity DIP. The prover uses hint as its embedding
 // when non-nil (generators provide known rotations; adversaries provide
 // crafted ones); otherwise it runs the DMP embedder, and fails — which
@@ -43,7 +74,14 @@ func ProofSizeBound(n, delta int) int {
 // (it is included in ProofSizeBits) so the Δ-sweep experiment can show
 // the additive structure; rejections of the nested embedding stages
 // surface under the embedding keys ("tree", "nesting", "corner").
-func Run(g *graph.Graph, hint *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
+func Run(g *graph.Graph, hint *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (*dip.Outcome, error) {
+	return Prepare(g, hint).Run(rng, opts...)
+}
+
+// Run executes one run of the prepared planarity DIP, as the
+// package-level Run does.
+func (pr *Prepared) Run(rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
+	g := pr.g
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("planarity", g.N(), Rounds)
 	defer func() {
@@ -54,26 +92,21 @@ func Run(g *graph.Graph, hint *planar.Rotation, rng *rand.Rand, opts ...dip.RunO
 		}
 	}()
 	res = &dip.Outcome{Rounds: Rounds}
-	if g.N() < 2 {
-		return nil, errors.New("planarity: need n >= 2")
+	if pr.err != nil {
+		return nil, pr.err
 	}
-	rot := hint
-	if rot == nil {
-		r, err := planar.Embed(g)
-		if err != nil {
-			res.ProverFailed = true
-			return res, nil
-		}
-		rot = r
+	if pr.emb == nil {
+		res.ProverFailed = true
+		return res, nil
 	}
-	emb, err := embedding.Run(g, rot, rng, cfg.Child("embedding")...)
+	emb, err := pr.emb.Run(rng, cfg.Child("embedding")...)
 	if err != nil {
 		return nil, err
 	}
 	res.Rejections = emb.Rejections
 	res.ProverFailed = emb.ProverFailed
 	res.Accepted = emb.Accepted && !emb.ProverFailed
-	res.RotationBits = shippingBits(g)
+	res.RotationBits = pr.rotationBits
 	res.ProofSizeBits = emb.ProofSizeBits + res.RotationBits
 	res.TotalLabelBits = emb.TotalLabelBits + res.RotationBits*g.N()
 	return res, nil

@@ -20,6 +20,7 @@ func init() {
 		Rounds:         embedding.Rounds,
 		BoundExpr:      "O(log log n)",
 		ProofSizeBound: embedding.ProofSizeBound,
+		Prepare:        prepareEmbedding,
 		Exec:           runEmbedding,
 	})
 }
@@ -38,10 +39,20 @@ func rotationWitness(in *Instance) (*planar.Rotation, bool) {
 	return rot, true
 }
 
-func runEmbedding(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+// prepareEmbedding prepares the run on the rotation witness; a nil
+// *embedding.Prepared records that there is none.
+func prepareEmbedding(in *Instance) (any, error) {
 	rot, ok := rotationWitness(in)
 	if !ok {
+		return (*embedding.Prepared)(nil), nil
+	}
+	return embedding.Prepare(in.G, rot), nil
+}
+
+func runEmbedding(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	pr := prep.(*embedding.Prepared)
+	if pr == nil {
 		return &Outcome{Rounds: embedding.Rounds, ProverFailed: true}, nil
 	}
-	return embedding.Run(in.G, rot, rng, opts...)
+	return pr.Run(rng, opts...)
 }

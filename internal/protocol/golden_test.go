@@ -34,23 +34,40 @@ var goldenSizes = []int{24, 64}
 // recomputes.
 func goldenLine(t *testing.T, d *Descriptor, family, strategy string, n int) string {
 	t.Helper()
+	line, err := runLine(d, goldenInstance(t, d, family, n), family, strategy, n, goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// goldenInstance builds the golden instance of family at size n.
+func goldenInstance(t *testing.T, d *Descriptor, family string, n int) *Instance {
+	t.Helper()
 	spec := gen.FamilySpec{Family: family, N: n, ChordProb: -1}
 	g, pos, rot, err := spec.BuildWitnessed(rand.New(rand.NewSource(goldenSeed)))
 	if err != nil {
 		t.Fatalf("%s: building %s at n=%d: %v", d.Name, family, n, err)
 	}
-	inst := &Instance{G: g, PathPos: pos, Rotation: rot}
+	return &Instance{G: g, PathPos: pos, Rotation: rot}
+}
+
+// runLine runs d on inst with the given strategy, seeding the verifier
+// coins and the adversary with seed, and renders the run as a golden
+// table row. A run error is part of the row; the error return is an
+// unknown strategy.
+func runLine(d *Descriptor, inst *Instance, family, strategy string, n int, seed int64) (string, error) {
 	collect := obs.NewCollect()
 	opts := []dip.RunOption{dip.WithTracer(collect)}
 	if strategy != "-" {
-		adv, err := chaos.New(strategy, goldenSeed)
+		adv, err := chaos.New(strategy, seed)
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		opts = append(opts, dip.WithAdversary(adv))
 	}
 	verdict, bits := "error", 0
-	if out, err := d.Run(context.Background(), inst, goldenSeed, opts...); err == nil {
+	if out, err := d.Run(context.Background(), inst, seed, opts...); err == nil {
 		verdict, bits = "rejected", out.ProofSizeBits
 		if out.Accepted {
 			verdict = "accepted"
@@ -58,7 +75,7 @@ func goldenLine(t *testing.T, d *Descriptor, family, strategy string, n int) str
 	}
 	h := fnv.New64a()
 	io.WriteString(h, collect.Fingerprint())
-	return fmt.Sprintf("%s %s %s %d %s %d %016x", d.Name, family, strategy, n, verdict, bits, h.Sum64())
+	return fmt.Sprintf("%s %s %s %d %s %d %016x", d.Name, family, strategy, n, verdict, bits, h.Sum64()), nil
 }
 
 // goldenLines renders every golden case of d at each golden size: the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dip"
+	"repro/internal/graph"
 	"repro/internal/outerplanar"
 )
 
@@ -19,10 +20,11 @@ func init() {
 		Rounds:         outerplanar.Rounds,
 		BoundExpr:      "O(log log n)",
 		ProofSizeBound: outerplanar.ProofSizeBound,
+		Prepare:        prepareGraph,
 		Exec:           runOuterplanar,
 	})
 }
 
-func runOuterplanar(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
-	return outerplanar.Run(in.G, nil, rng, opts...)
+func runOuterplanar(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	return outerplanar.Run(prep.(*graph.Graph), nil, rng, opts...)
 }

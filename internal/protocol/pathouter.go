@@ -20,6 +20,7 @@ func init() {
 		Rounds:         pathouter.Rounds,
 		BoundExpr:      "O(log log n)",
 		ProofSizeBound: pathouter.ProofSizeBound,
+		Prepare:        preparePathOuter,
 		Exec:           runPathOuter,
 	})
 }
@@ -38,10 +39,41 @@ func pathWitness(in *Instance) ([]int, bool) {
 	return pos, true
 }
 
-func runPathOuter(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+// pathRun is the prepared value of the pathouter and pls protocols: the
+// engine instance and the resolved witness path (nil: none).
+type pathRun struct {
+	di  *dip.Instance
+	pos []int
+	// po is pathouter's prepared prover; pls prepares none.
+	po *pathouter.Prepared
+}
+
+// preparePath resolves the witness path of in.
+func preparePath(in *Instance) pathRun {
 	pos, ok := pathWitness(in)
 	if !ok {
+		return pathRun{}
+	}
+	return pathRun{di: in.DIP(), pos: pos}
+}
+
+func preparePathOuter(in *Instance) (any, error) {
+	run := preparePath(in)
+	if run.pos == nil {
+		return run, nil
+	}
+	p, err := pathouter.NewParams(in.G.N())
+	if err != nil {
+		return nil, err
+	}
+	run.po = pathouter.Prepare(&pathouter.Instance{G: in.G, Pos: run.pos}, p)
+	return run, nil
+}
+
+func runPathOuter(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	run := prep.(pathRun)
+	if run.pos == nil {
 		return &Outcome{Rounds: pathouter.Rounds, ProverFailed: true}, nil
 	}
-	return pathouter.Run(in.DIP(), pos, rng, opts...)
+	return run.po.Run(run.di, rng, opts...)
 }

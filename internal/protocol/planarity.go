@@ -19,10 +19,11 @@ func init() {
 		Rounds:         planarity.Rounds,
 		BoundExpr:      "O(log log n + log Δ)",
 		ProofSizeBound: planarity.ProofSizeBound,
-		Exec:           runPlanarity,
+		Prepare: func(in *Instance) (any, error) {
+			return planarity.Prepare(in.G, in.Rotation), nil
+		},
+		Exec: func(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+			return prep.(*planarity.Prepared).Run(rng, opts...)
+		},
 	})
-}
-
-func runPlanarity(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
-	return planarity.Run(in.G, in.Rotation, rng, opts...)
 }

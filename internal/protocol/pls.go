@@ -19,14 +19,17 @@ func init() {
 		Rounds:         pls.Rounds,
 		BoundExpr:      "Θ(log n)",
 		ProofSizeBound: pls.ProofSizeBound,
-		Exec:           runPLS,
+		Prepare: func(in *Instance) (any, error) {
+			return preparePath(in), nil
+		},
+		Exec: runPLS,
 	})
 }
 
-func runPLS(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
-	pos, ok := pathWitness(in)
-	if !ok {
+func runPLS(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	run := prep.(pathRun)
+	if run.pos == nil {
 		return &Outcome{Rounds: pls.Rounds, ProverFailed: true}, nil
 	}
-	return pls.Run(in.DIP(), pos, rng, opts...)
+	return pls.Run(run.di, run.pos, rng, opts...)
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dip"
 	"repro/internal/graph"
@@ -26,7 +27,10 @@ import (
 // graph plus whatever prover-side witness the caller supplied. Witness
 // fields a protocol does not consume are ignored; witness fields it
 // does consume are optional — the honest prover falls back to the
-// centralized oracles (see each Descriptor's Witness planner).
+// centralized oracles (see each Descriptor's Witness planner). From an
+// instance's second Run of a descriptor on, the instance also keeps
+// that descriptor's prepared value (see Descriptor.Prepare), so it must
+// not be mutated after its first Run.
 type Instance struct {
 	G *graph.Graph
 	// PathPos is the Hamiltonian-path witness of the pathouter and pls
@@ -39,6 +43,11 @@ type Instance struct {
 	// dipOnce/dipInst memoize DIP(). Always access through DIP().
 	dipOnce sync.Once
 	dipInst *dip.Instance
+
+	// memos holds one prepared-value memo per descriptor run on the
+	// instance. Always access through prepared().
+	memoMu sync.Mutex
+	memos  map[*Descriptor]*prepMemo
 }
 
 // DIP returns the instance's engine-level dip.Instance, created once
@@ -50,6 +59,40 @@ type Instance struct {
 func (in *Instance) DIP() *dip.Instance {
 	in.dipOnce.Do(func() { in.dipInst = dip.NewInstance(in.G) })
 	return in.dipInst
+}
+
+// prepMemo counts one descriptor's runs on one instance and, from the
+// second run on, keeps its prepared value.
+type prepMemo struct {
+	runs  atomic.Uint64
+	once  sync.Once
+	value any
+	err   error
+}
+
+// prepared returns d's prepared value for in. A first run prepares the
+// value, uses it and drops it; the second run prepares it once more and
+// stores it on the instance for every later run. Most instances are
+// certified once — a request that misses the result cache, a set-up
+// run — and would only hold the value as garbage for as long as they
+// stay referenced; an instance certified twice is likely to be
+// certified again. Runs racing to store wait for the one that does.
+func (in *Instance) prepared(d *Descriptor) (any, error) {
+	in.memoMu.Lock()
+	m := in.memos[d]
+	if m == nil {
+		if in.memos == nil {
+			in.memos = map[*Descriptor]*prepMemo{}
+		}
+		m = &prepMemo{}
+		in.memos[d] = m
+	}
+	in.memoMu.Unlock()
+	if m.runs.Add(1) == 1 {
+		return d.Prepare(in)
+	}
+	m.once.Do(func() { m.value, m.err = d.Prepare(in) })
+	return m.value, m.err
 }
 
 // Outcome is the protocol-level result of one certification run. It is
@@ -114,18 +157,25 @@ type Descriptor struct {
 	// invariant.
 	ProofSizeBound func(n, delta int) int
 
-	// Exec runs the protocol on inst with the given verifier
-	// randomness. A nil error with Outcome.ProverFailed=true means the
-	// honest prover could not build a witness; execution faults and
-	// context aborts are errors.
-	Exec func(inst *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error)
+	// Prepare computes the coin-free half of a run on inst: witness
+	// resolution, reductions, derived instances and the honest prover's
+	// rounds before the first coin. It must draw no randomness, and
+	// every Exec treats its value as read-only, so concurrent runs share
+	// it. An error fails every run on inst.
+	Prepare func(inst *Instance) (any, error)
+	// Exec runs the protocol from a value Prepare returned, with the
+	// given verifier randomness. A nil error with
+	// Outcome.ProverFailed=true means the honest prover could not build
+	// a witness; execution faults and context aborts are errors.
+	Exec func(prepared any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error)
 }
 
 // Run executes the protocol on inst with verifier randomness derived
 // from seed, bounded by ctx (checked between interaction rounds; nil or
 // Background leaves the run unbounded). Options attach tracers or
 // select the execution engine; they are appended after the context
-// binding, so callers can override it.
+// binding, so callers can override it. From the third Run of d on inst
+// on, the prepared half comes from the instance (see prepared).
 func (d *Descriptor) Run(ctx context.Context, inst *Instance, seed int64, opts ...dip.RunOption) (*Outcome, error) {
 	if inst == nil || inst.G == nil {
 		return nil, fmt.Errorf("protocol: %s: instance has no graph", d.Name)
@@ -142,8 +192,16 @@ func (d *Descriptor) Run(ctx context.Context, inst *Instance, seed int64, opts .
 	default:
 		return nil, fmt.Errorf("protocol: %s: unknown engine %q", d.Name, engine)
 	}
-	return d.Exec(inst, rand.New(rand.NewSource(seed)), run...)
+	prep, err := inst.prepared(d)
+	if err != nil {
+		return nil, err
+	}
+	return d.Exec(prep, rand.New(rand.NewSource(seed)), run...)
 }
+
+// prepareGraph is the Prepare of a protocol whose honest prover does
+// all its work inside each run: the prepared value is the graph.
+func prepareGraph(in *Instance) (any, error) { return in.G, nil }
 
 // registry maps wire names to descriptors. Registration happens in the
 // init functions of this package's per-protocol files, so the map is
@@ -161,7 +219,7 @@ func Register(d Descriptor) {
 		panic("protocol: Register: " + d.Name + ": missing metadata")
 	case d.Rounds < 1:
 		panic("protocol: Register: " + d.Name + ": invalid round count")
-	case d.ProofSizeBound == nil || d.Exec == nil:
+	case d.ProofSizeBound == nil || d.Prepare == nil || d.Exec == nil:
 		panic("protocol: Register: " + d.Name + ": missing adapter")
 	case d.Witness == "":
 		panic("protocol: Register: " + d.Name + ": missing witness kind")

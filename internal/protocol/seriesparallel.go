@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dip"
+	"repro/internal/graph"
 	"repro/internal/seriesparallel"
 )
 
@@ -19,10 +20,11 @@ func init() {
 		Rounds:         seriesparallel.Rounds,
 		BoundExpr:      "O(log log n)",
 		ProofSizeBound: seriesparallel.ProofSizeBound,
+		Prepare:        prepareGraph,
 		Exec:           runSeriesParallel,
 	})
 }
 
-func runSeriesParallel(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
-	return seriesparallel.Run(in.G, nil, rng, opts...)
+func runSeriesParallel(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	return seriesparallel.Run(prep.(*graph.Graph), nil, rng, opts...)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dip"
+	"repro/internal/graph"
 	"repro/internal/treewidth2"
 )
 
@@ -19,10 +20,11 @@ func init() {
 		Rounds:         treewidth2.Rounds,
 		BoundExpr:      "O(log log n)",
 		ProofSizeBound: treewidth2.ProofSizeBound,
+		Prepare:        prepareGraph,
 		Exec:           runTreewidth2,
 	})
 }
 
-func runTreewidth2(in *Instance, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
-	return treewidth2.Run(in.G, nil, rng, opts...)
+func runTreewidth2(prep any, rng *rand.Rand, opts ...dip.RunOption) (*Outcome, error) {
+	return treewidth2.Run(prep.(*graph.Graph), nil, rng, opts...)
 }

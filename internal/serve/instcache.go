@@ -20,8 +20,9 @@ func InstanceKey(n int, edges []graph.Edge, witness []int, rot *planar.Rotation)
 
 // instanceCache interns materialized instances by InstanceKey with LRU
 // eviction. The interned *Instance carries the memoized engine-level
-// instance and its dense frozen form (see protocol.Instance.DIP), both
-// immutable after first use, so handing one instance to concurrent
+// instance and its dense frozen form (see protocol.Instance.DIP), and
+// from its second run of a protocol that protocol's prepared state,
+// all immutable after first use, so handing one instance to concurrent
 // certification runs is race-free — each run builds its own runner
 // against the shared frozen state.
 type instanceCache struct {

@@ -69,8 +69,22 @@ func TestInstanceCacheInternAndEvict(t *testing.T) {
 // memoized Instance.DIP, so freeze sharing is observable end to end).
 func certifyPath(t *testing.T, h http.Handler, seed int) {
 	t.Helper()
-	body := fmt.Sprintf(
-		`{"protocol":"pathouter","seed":%d,"graph":{"n":8,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7]]}}`, seed)
+	certifyBody(t, h, seed, fmt.Sprintf(
+		`{"protocol":"pathouter","seed":%d,"graph":{"n":8,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7]]}}`, seed))
+}
+
+// certifyTriangulation posts /v1/certify for one generated 64-node
+// triangulation under planarity, whose runs freeze two derived
+// instances (the spanning-tree stage's and h(G,T,ρ)) unless they run
+// from a stored prepared value.
+func certifyTriangulation(t *testing.T, h http.Handler, seed int) {
+	t.Helper()
+	certifyBody(t, h, seed, fmt.Sprintf(
+		`{"protocol":"planarity","seed":%d,"gen":{"family":"triangulation","n":64,"seed":3}}`, seed))
+}
+
+func certifyBody(t *testing.T, h http.Handler, seed int, body string) {
+	t.Helper()
 	r := httptest.NewRequest(http.MethodPost, "/v1/certify", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
@@ -83,7 +97,11 @@ func certifyPath(t *testing.T, h http.Handler, seed int) {
 // under different seeds (distinct result-cache keys, so both really
 // run) share one interned instance — visible as an instance-cache hit
 // and exactly one dense freeze across both runs. With the intern cache
-// disabled, the same pair freezes twice.
+// disabled, the same pair freezes twice. A planarity triangulation
+// certified under three seeds freezes its two derived instances on
+// each of the first two requests, and not at all on the third, which
+// runs from the prepared value the second one stored on the interned
+// instance; with the intern cache disabled every request freezes two.
 func TestCertifyInternsInstances(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{Registry: reg})
@@ -105,6 +123,13 @@ func TestCertifyInternsInstances(t *testing.T) {
 	if delta := dip.FreezeCount() - before; delta != 1 {
 		t.Fatalf("freeze delta with interning = %d, want exactly 1", delta)
 	}
+	for i, want := range []uint64{2, 2, 0} {
+		before := dip.FreezeCount()
+		certifyTriangulation(t, h, i+1)
+		if delta := dip.FreezeCount() - before; delta != want {
+			t.Fatalf("planarity request %d with interning froze %d times, want %d", i+1, delta, want)
+		}
+	}
 
 	s2, err := New(Config{Registry: obs.NewRegistry(), InstanceCacheCapacity: -1})
 	if err != nil {
@@ -117,5 +142,12 @@ func TestCertifyInternsInstances(t *testing.T) {
 	certifyPath(t, h2, 2)
 	if delta2 := dip.FreezeCount() - before2; delta2 != 2 {
 		t.Fatalf("freeze delta without interning = %d, want 2 (one per run)", delta2)
+	}
+	for seed := 1; seed <= 3; seed++ {
+		before := dip.FreezeCount()
+		certifyTriangulation(t, h2, seed)
+		if delta := dip.FreezeCount() - before; delta != 2 {
+			t.Fatalf("planarity request %d without interning froze %d times, want 2", seed, delta)
+		}
 	}
 }

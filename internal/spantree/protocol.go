@@ -30,64 +30,89 @@ func NewInstance(g *graph.Graph, treeEdges []graph.Edge) *dip.Instance {
 	return inst
 }
 
-// Protocol returns the 3-round spanning-tree verification DIP for inst.
-func Protocol(inst *dip.Instance, p Params) *dip.Protocol {
+// Prepared is the coin-free half of a spanning-tree run on inst: the
+// input T oriented from vertex 0 and committed by forest code, the
+// prover's first round. It holds no per-run state, so one Prepared is
+// the honest prover of any number of runs, concurrent ones included.
+type Prepared struct {
+	inst   *dip.Instance
+	p      Params
+	parent []int
+	r0     *dip.Assignment
+	err    error // T has no orientation: the first round reports it
+}
+
+// Prepare orients and commits the input T of inst.
+func Prepare(inst *dip.Instance, p Params) *Prepared {
+	pr := &Prepared{inst: inst, p: p}
+	pr.parent, pr.err = treeParents(inst)
+	if pr.err != nil {
+		return pr
+	}
+	g := inst.G
+	labels, err := forestcode.EncodeForest(g, pr.parent)
+	if err != nil {
+		pr.err = err
+		return pr
+	}
+	pr.r0 = dip.NewAssignment(g)
+	for v := 0; v < g.N(); v++ {
+		var w bitio.Writer
+		w.WriteString(labels[v].Encode())
+		w.WriteBool(pr.parent[v] == -1)
+		pr.r0.Node[v] = w.String()
+	}
+	return pr
+}
+
+// Instance returns the engine instance pr was prepared on.
+func (pr *Prepared) Instance() *dip.Instance { return pr.inst }
+
+// Protocol returns the 3-round spanning-tree verification DIP with pr as
+// its honest prover.
+func (pr *Prepared) Protocol() *dip.Protocol {
 	return &dip.Protocol{
 		Name:           "spantree",
 		ProverRounds:   2,
 		VerifierRounds: 1,
-		NewProver:      func() dip.Prover { return &honestProver{inst: inst, p: p} },
-		Verifier:       verifier{p: p},
+		NewProver:      func() dip.Prover { return pr },
+		Verifier:       verifier{p: pr.p},
 	}
 }
 
-// honestProver commits to the input T rooted at vertex 0 (round 0) and
-// answers the coins with telescoping sums (round 1). If T is not actually
-// a spanning tree it still commits to the structure as given, which the
-// verifier then catches.
-type honestProver struct {
-	inst   *dip.Instance
-	p      Params
-	parent []int
+// Protocol returns the 3-round spanning-tree verification DIP for inst.
+func Protocol(inst *dip.Instance, p Params) *dip.Protocol {
+	return Prepare(inst, p).Protocol()
 }
 
-func (hp *honestProver) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
-	g := hp.inst.G
+// Round is the honest prover: it commits to the input T rooted at
+// vertex 0 (round 0) and answers the coins with telescoping sums
+// (round 1). If T is not actually a spanning tree it still commits to
+// the structure as given, which the verifier then catches.
+func (pr *Prepared) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
+	if pr.err != nil {
+		return nil, pr.err
+	}
+	g := pr.inst.G
 	switch round {
 	case 0:
-		parent, err := treeParents(hp.inst)
-		if err != nil {
-			return nil, err
-		}
-		hp.parent = parent
-		labels, err := forestcode.EncodeForest(g, parent)
-		if err != nil {
-			return nil, err
-		}
-		a := dip.NewAssignment(g)
-		for v := 0; v < g.N(); v++ {
-			var w bitio.Writer
-			w.WriteString(labels[v].Encode())
-			w.WriteBool(parent[v] == -1)
-			a.Node[v] = w.String()
-		}
-		return a, nil
+		return pr.r0, nil
 	case 1:
 		cs := make([]Coin, g.N())
 		for v := range cs {
-			c, err := DecodeCoin(coins[0][v], hp.p)
+			c, err := DecodeCoin(coins[0][v], pr.p)
 			if err != nil {
 				return nil, err
 			}
 			cs[v] = c
 		}
-		sums, err := HonestSums(hp.parent, cs)
+		sums, err := HonestSums(pr.parent, cs)
 		if err != nil {
 			return nil, err
 		}
 		a := dip.NewAssignment(g)
 		for v := 0; v < g.N(); v++ {
-			a.Node[v] = sums[v].Encode(hp.p)
+			a.Node[v] = sums[v].Encode(pr.p)
 		}
 		return a, nil
 	}
