@@ -82,12 +82,16 @@ func (m *Manager[R]) epoch() {
 		m.observe("epoch_batch_groups", groups)
 	}
 
+	// Admission ends here. It is observed before the dispatch loop, so
+	// the histogram is written before any item can run: with an inline
+	// Dispatch the last item would otherwise finish, and release a
+	// waiter, before its epoch was accounted.
+	m.observe("epoch_admit_ns", time.Since(start).Nanoseconds())
 	for _, it := range live {
 		it := it
 		m.add("tenant_admitted_total{tenant="+it.job.tenant+"}", 1)
 		m.cfg.Dispatch(func() { m.runItem(it) })
 	}
-	m.observe("epoch_admit_ns", time.Since(start).Nanoseconds())
 }
 
 // finalEpoch drains the queues at Close: every queued item is canceled

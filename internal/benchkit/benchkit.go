@@ -84,22 +84,20 @@ func (p *fixedProver) Round(round int, _ [][]bitio.String) (*dip.Assignment, err
 	return p.assigns[round], nil
 }
 
-// hotPathVerifier touches every label so view assembly cannot be elided,
-// without any protocol-level decoding.
-type hotPathVerifier struct{}
+// hotPathVerifier reads every label of its rounds prover rounds so no
+// view read can be elided, without any protocol-level decoding.
+type hotPathVerifier struct{ rounds int }
 
 func (hotPathVerifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String {
 	return bitio.FromUint(uint64(rng.Intn(16)), 4)
 }
 
-func (hotPathVerifier) Decide(view *dip.View) bool {
+func (hv hotPathVerifier) Decide(view *dip.View) bool {
 	sum := 0
-	for r := range view.Own {
-		sum += view.Own[r].Len()
-	}
-	for p := 0; p < view.Deg; p++ {
-		for r := range view.Nbr[p] {
-			sum += view.Nbr[p][r].Len() + view.EdgeLab[p][r].Len()
+	for r := 0; r < hv.rounds; r++ {
+		sum += view.Own(r).Len()
+		for p := 0; p < view.Deg(); p++ {
+			sum += view.Nbr(p, r).Len() + view.EdgeLab(p, r).Len()
 		}
 	}
 	return sum > 0
@@ -129,7 +127,7 @@ func HotPath() ([]Result, error) {
 	var benchErr error
 
 	inst, prover := fixture(100, 100, 3)
-	v := hotPathVerifier{}
+	v := hotPathVerifier{rounds: 3}
 
 	runner := dip.NewRunner(inst)
 	out = append(out, toResult("RunnerHotPath", testing.Benchmark(func(b *testing.B) {
@@ -161,7 +159,7 @@ func HotPath() ([]Result, error) {
 		ProverRounds:   3,
 		VerifierRounds: 2,
 		NewProver:      func() dip.Prover { return rprover },
-		Verifier:       hotPathVerifier{},
+		Verifier:       hotPathVerifier{rounds: 3},
 	}
 	out = append(out, toResult("RepeatHotPath", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -111,7 +111,7 @@ func Scaling(sizes, procs []int) ([]Result, error) {
 
 	var out []Result
 	var benchErr error
-	v := hotPathVerifier{}
+	v := hotPathVerifier{rounds: 3}
 	for _, n := range sizes {
 		frozen, prover, err := scalingFixture(n, 3)
 		if err != nil {

@@ -68,7 +68,7 @@ func TestScalingCertifyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := frozen.N()
-	v := hotPathVerifier{}
+	v := hotPathVerifier{rounds: 3}
 
 	runner := dip.NewRunnerFrozen(frozen)
 	run := func() {

@@ -59,15 +59,13 @@ func (w *Writer) WriteUint(v uint64, width int) {
 func (w *Writer) WriteBool(b bool) { w.WriteBit(b) }
 
 // WriteString appends every bit of s. It is how composite labels embed
-// the encodings of their sub-protocols' labels.
-func (w *Writer) WriteString(s String) { w.writeRange(s, 0, s.nbit) }
-
-// writeRange appends the n bits of s starting at bit pos, a word at a
-// time.
-func (w *Writer) writeRange(s String, pos, n int) {
-	for off := 0; off < n; off += 64 {
-		k := min(n-off, 64)
-		w.writeWord(s.word64(pos+off)&highBits(k), k)
+// the encodings of their sub-protocols' labels; their decoders read the
+// embedded fields back in place, from the composite's own Reader.
+// It moves a word at a time.
+func (w *Writer) WriteString(s String) {
+	for off := 0; off < s.nbit; off += 64 {
+		k := min(s.nbit-off, 64)
+		w.writeWord(s.word64(off)&highBits(k), k)
 	}
 }
 
@@ -244,24 +242,6 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 
 // ReadBool consumes one bit as a boolean.
 func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
-
-// ReadString consumes the next n bits as a String in canonical form
-// (inline for n <= 64). It is how composite labels slice out the
-// encodings of their sub-protocols' labels. A read past the end returns
-// ErrShortRead and leaves the reader at the end.
-func (r *Reader) ReadString(n int) (String, error) {
-	if n < 0 {
-		return String{}, fmt.Errorf("bitio: invalid length %d", n)
-	}
-	if n > r.Remaining() {
-		r.pos = r.s.nbit
-		return String{}, ErrShortRead
-	}
-	var w Writer
-	w.writeRange(r.s, r.pos, n)
-	r.pos += n
-	return w.String(), nil
-}
 
 // highBits is the mask of the n (0..64) most significant bits.
 func highBits(n int) uint64 { return ^(^uint64(0) >> uint(n)) }

@@ -29,7 +29,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %d/%d: got %d", tt.v, tt.width, got)
 		}
 		// The same field carried as a string: written after a one-bit
-		// offset and sliced back out.
+		// offset and read back in place.
 		var ws Writer
 		ws.WriteBit(true)
 		ws.WriteString(s)
@@ -37,9 +37,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if b, _ := r.ReadBit(); !b {
 			t.Fatalf("width %d: lost the offset bit", tt.width)
 		}
-		sub, err := r.ReadString(tt.width)
-		if err != nil || !sub.Equal(s) || r.Remaining() != 0 {
-			t.Fatalf("string round trip %d/%d: got %v (%v), remaining %d", tt.v, tt.width, sub, err, r.Remaining())
+		sub, err := r.ReadUint(tt.width)
+		if err != nil || sub != tt.v || r.Remaining() != 0 {
+			t.Fatalf("string round trip %d/%d: got %d (%v), remaining %d", tt.v, tt.width, sub, err, r.Remaining())
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestMixedFields(t *testing.T) {
 	if v != 9 {
 		t.Fatalf("got %d want 9", v)
 	}
-	if sub, _ := r.ReadString(3); sub.String() != "101" {
-		t.Fatalf("got %q want 101", sub.String())
+	if sub, _ := r.ReadUint(3); sub != 0b101 {
+		t.Fatalf("got %b want 101", sub)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("remaining %d", r.Remaining())
@@ -88,16 +88,6 @@ func TestShortRead(t *testing.T) {
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("short read left %d bits, want the reader at the end", r.Remaining())
-	}
-	r = s.Reader()
-	if _, err := r.ReadString(3); err != ErrShortRead {
-		t.Fatalf("ReadString: want ErrShortRead, got %v", err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("short ReadString left %d bits, want the reader at the end", r.Remaining())
-	}
-	if _, err := s.Reader().ReadString(-1); err == nil {
-		t.Fatal("negative ReadString length accepted")
 	}
 }
 
@@ -198,9 +188,8 @@ func TestInlineCanonicalForm(t *testing.T) {
 		}
 		var ws Writer
 		ws.WriteString(direct)
-		sliced, err := ws.String().Reader().ReadString(width)
-		if err != nil || sliced.data != nil || !sliced.Equal(direct) {
-			t.Fatalf("width %d: WriteString/ReadString broke the inline form", width)
+		if copied := ws.String(); copied.data != nil || !copied.Equal(direct) {
+			t.Fatalf("width %d: WriteString broke the inline form", width)
 		}
 	}
 	var w Writer
@@ -215,10 +204,10 @@ func TestInlineCanonicalForm(t *testing.T) {
 		t.Fatalf("spilled string: len=%d bit64=%v", long.Len(), long.Bit(64))
 	}
 	r := long.Reader()
-	head, _ := r.ReadString(64)
-	tail, _ := r.ReadString(1)
-	if head.data != nil || !head.Equal(FromUint(0xDEADBEEFDEADBEEF, 64)) || !tail.Bit(0) {
-		t.Fatal("slicing a spilled string at the boundary")
+	head, _ := r.ReadUint(64)
+	tail, _ := r.ReadUint(1)
+	if head != 0xDEADBEEFDEADBEEF || tail != 1 {
+		t.Fatal("reading a spilled string across the boundary")
 	}
 	var ws Writer
 	ws.WriteString(long)

@@ -1,9 +1,12 @@
 package blockcut
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/forestcode"
+	"repro/internal/spantree"
 )
 
 // bytesToBits converts fuzz input into a bit string.
@@ -15,20 +18,114 @@ func bytesToBits(data []byte) bitio.String {
 	return w.String()
 }
 
+// readString slices the next n bits of r out as a String, as the
+// removed bitio.Reader.ReadString did: ErrShortRead past the end.
+func readString(r *bitio.Reader, n int) (bitio.String, error) {
+	if n < 0 {
+		return bitio.String{}, fmt.Errorf("bitio: invalid length %d", n)
+	}
+	if n > r.Remaining() {
+		return bitio.String{}, bitio.ErrShortRead
+	}
+	var w bitio.Writer
+	for ; n > 0; n -= 64 {
+		k := min(n, 64)
+		v, _ := r.ReadUint(k)
+		w.WriteUint(v, k)
+	}
+	return w.String(), nil
+}
+
 // prefix returns the first n bits of s.
 func prefix(t *testing.T, s bitio.String, n int) bitio.String {
 	t.Helper()
-	head, err := s.Reader().ReadString(n)
+	head, err := readString(s.Reader(), n)
 	if err != nil {
 		t.Fatalf("prefix of %d bits from %d: %v", n, s.Len(), err)
 	}
 	return head
 }
 
+// The structural decoders as they were before they read their embedded
+// sub-labels in place: the forest code and the spanning-tree fields are
+// sliced out into Strings of their own and decoded there. They are the
+// oracle the in-place decoders must agree with.
+
+func refDecodeStructR1(s bitio.String) (structR1, error) {
+	r := s.Reader()
+	fcBits, err := readString(r, forestcode.LabelBits)
+	if err != nil {
+		return structR1{}, err
+	}
+	fc, err := forestcode.DecodeLabel(fcBits)
+	if err != nil {
+		return structR1{}, err
+	}
+	cut, err := r.ReadBool()
+	if err != nil {
+		return structR1{}, err
+	}
+	lead, err := r.ReadBool()
+	if err != nil {
+		return structR1{}, err
+	}
+	return structR1{FC: fc, Cut: cut, Leader: lead}, nil
+}
+
+func refDecodeStructCoin(s bitio.String, p Params) (structCoin, error) {
+	r := s.Reader()
+	sv, err := r.ReadUint(p.L)
+	if err != nil {
+		return structCoin{}, err
+	}
+	stBits, err := readString(r, p.ST.Reps+p.ST.IDBits)
+	if err != nil {
+		return structCoin{}, err
+	}
+	st, err := spantree.DecodeCoin(stBits, p.ST)
+	if err != nil {
+		return structCoin{}, err
+	}
+	return structCoin{S: sv, ST: st}, nil
+}
+
+func refDecodeStructR2(s bitio.String, p Params) (structR2, error) {
+	r := s.Reader()
+	var l structR2
+	var err error
+	if l.Self, err = r.ReadUint(p.L); err != nil {
+		return l, err
+	}
+	if l.Sep, err = r.ReadUint(p.L); err != nil {
+		return l, err
+	}
+	if l.Lead, err = r.ReadUint(p.L); err != nil {
+		return l, err
+	}
+	stBits, err := readString(r, p.ST.Reps+p.ST.IDBits)
+	if err != nil {
+		return l, err
+	}
+	if l.ST, err = spantree.DecodeSum(stBits, p.ST); err != nil {
+		return l, err
+	}
+	return l, nil
+}
+
+// agree fails t unless a decoder and its oracle returned the same value
+// and either both or neither failed.
+func agree[T comparable](t *testing.T, what string, got T, err error, want T, refErr error) {
+	t.Helper()
+	if (err == nil) != (refErr == nil) || got != want {
+		t.Fatalf("%s: got %+v (%v), reference %+v (%v)", what, got, err, want, refErr)
+	}
+}
+
 // FuzzDecoders checks the structural label decoders on arbitrary bits:
-// they never panic (malformed labels surface as errors the verifier
-// turns into rejection), and a label that decodes encodes back to the
-// bits it was read from and decodes again to itself.
+// they agree with the oracle above on the value and on whether an error
+// occurs, they never panic (malformed labels surface as errors the
+// verifier turns into rejection), and a label that decodes encodes back
+// to the bits it was read from and decodes again to itself.
 func FuzzDecoders(f *testing.F) {
 	f.Add([]byte{0x00}, uint16(64))
 	f.Add([]byte{0xff, 0x13, 0x77}, uint16(1000))
@@ -36,6 +133,17 @@ func FuzzDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		p := NewParams(int(n))
 		s := bytesToBits(data)
+		{
+			l, err := decodeStructR1(s)
+			ref, refErr := refDecodeStructR1(s)
+			agree(t, "r1", l, err, ref, refErr)
+			c, err := decodeStructCoin(s, p)
+			refC, refErr := refDecodeStructCoin(s, p)
+			agree(t, "coin", c, err, refC, refErr)
+			l2, err := decodeStructR2(s, p)
+			ref2, refErr := refDecodeStructR2(s, p)
+			agree(t, "r2", l2, err, ref2, refErr)
+		}
 		if l, err := decodeStructR1(s); err == nil {
 			enc := l.encode()
 			if !enc.Equal(prefix(t, s, enc.Len())) {

@@ -47,13 +47,9 @@ func (l structR1) encode() bitio.String {
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
+	fc, err := forestcode.ReadLabel(r)
 	if err != nil {
 		return structR1{}, fmt.Errorf("blockcut: r1: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return structR1{}, err
 	}
 	cut, err := r.ReadBool()
 	if err != nil {
@@ -86,11 +82,7 @@ func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
 	if err != nil {
 		return structCoin{}, fmt.Errorf("blockcut: coin: %w", err)
 	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return structCoin{}, err
-	}
-	st, err := spantree.DecodeCoin(stBits, p.ST)
+	st, err := spantree.ReadCoin(r, p.ST)
 	if err != nil {
 		return structCoin{}, err
 	}
@@ -128,11 +120,7 @@ func decodeStructR2(s bitio.String, p Params) (structR2, error) {
 	if l.Lead, err = r.ReadUint(p.L); err != nil {
 		return l, err
 	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return l, err
-	}
-	if l.ST, err = spantree.DecodeSum(stBits, p.ST); err != nil {
+	if l.ST, err = spantree.ReadSum(r, p.ST); err != nil {
 		return l, err
 	}
 	return l, nil
@@ -253,26 +241,27 @@ func (nd Node) SeesSep() bool {
 // that no edge leaves a non-cut node's block. It returns the decoded
 // view for further checks when all pass.
 func (sv Verifier) Check(view *dip.View) (Node, bool) {
-	own1, err := decodeStructR1(view.Own[0])
+	own1, err := decodeStructR1(view.Own(0))
 	if err != nil {
 		return Node{}, false
 	}
-	own2, err := decodeStructR2(view.Own[1], sv.P)
+	own2, err := decodeStructR2(view.Own(1), sv.P)
 	if err != nil {
 		return Node{}, false
 	}
-	coin, err := decodeStructCoin(view.Coins[0], sv.P)
+	coin, err := decodeStructCoin(view.Coin(0), sv.P)
 	if err != nil {
 		return Node{}, false
 	}
-	nbr1 := make([]structR1, view.Deg)
-	nbr2 := make([]structR2, view.Deg)
-	fcNbr := make([]forestcode.Label, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		if nbr1[port], err = decodeStructR1(view.Nbr[port][0]); err != nil {
+	deg := view.Deg()
+	nbr1 := make([]structR1, deg)
+	nbr2 := make([]structR2, deg)
+	fcNbr := make([]forestcode.Label, deg)
+	for port := 0; port < deg; port++ {
+		if nbr1[port], err = decodeStructR1(view.Nbr(port, 0)); err != nil {
 			return Node{}, false
 		}
-		if nbr2[port], err = decodeStructR2(view.Nbr[port][1], sv.P); err != nil {
+		if nbr2[port], err = decodeStructR2(view.Nbr(port, 1), sv.P); err != nil {
 			return Node{}, false
 		}
 		fcNbr[port] = nbr1[port].FC
@@ -289,7 +278,7 @@ func (sv Verifier) Check(view *dip.View) (Node, bool) {
 	}
 	// Spanning tree of F (stage 2).
 	var parentSum *spantree.Sum
-	nbrSums := make([]spantree.Sum, view.Deg)
+	nbrSums := make([]spantree.Sum, deg)
 	for port := range nbrSums {
 		nbrSums[port] = nbr2[port].ST
 		if port == dec.ParentPort {
@@ -332,7 +321,7 @@ func (sv Verifier) Check(view *dip.View) (Node, bool) {
 	}
 	// Non-cut nodes must not have edges leaving their block.
 	if !own1.Cut {
-		for port := 0; port < view.Deg; port++ {
+		for port := 0; port < deg; port++ {
 			sameHome := nbr2[port].Sep == own2.Sep && nbr2[port].Lead == own2.Lead
 			viaCut := nbr1[port].Cut && own2.Sep == nbr2[port].Self
 			if !sameHome && !viaCut {

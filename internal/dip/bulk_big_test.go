@@ -80,7 +80,7 @@ func TestMillionNodeGridCertify(t *testing.T) {
 		node[v] = labels[v%256]
 	}
 	prover := &fixedProver{assigns: []*Assignment{{Node: node}, {Node: node}}}
-	verifier := echoVerifier{decide: func(view *View) bool { return view.Own[0].Len() > 0 }}
+	verifier := echoVerifier{decide: func(view *View) bool { return view.Own(0).Len() > 0 }}
 
 	res, err := NewRunnerFrozen(f).Run(prover, verifier, 2, 1, rand.New(rand.NewSource(1)))
 	if err != nil || !res.Accepted {

@@ -32,15 +32,16 @@ type ChannelRunner struct {
 	// deliver/coinsUp/decide are the per-node channels, created on the
 	// first run and reused: they are always drained by the end of a run
 	// (success or error path), so reuse is safe for sequential runs.
-	deliver []chan nodeMsg
+	deliver []chan frozenAssignment
 	coinsUp []chan bitio.String
 	decide  []chan bool
-	// views[x] is node x's long-lived view. The label windows are
-	// allocated once per (proverRounds, verifierRounds) schedule and
-	// reset to length zero at the start of every run, so the per-node
-	// goroutines allocate nothing after the first run.
-	views          []View
-	viewsP, viewsV int
+	// views[x] is node x's long-lived view over the rounds delivered to
+	// it (see ensureRunState); labels[x] gathers one node's labels for a
+	// row decode. Both are sized once per prover-round count viewsP, so
+	// the per-node goroutines allocate nothing after the first run.
+	views  []View
+	labels [][]bitio.String
+	viewsP int
 }
 
 // NewChannelRunner prepares a channel-based execution environment. The
@@ -50,64 +51,60 @@ func NewChannelRunner(inst *Instance) *ChannelRunner {
 	return &ChannelRunner{inst: inst, fi: inst.freeze().fi}
 }
 
-// ensureRunState builds (first run, or schedule change) or resets
-// (later runs) the channels and per-node views.
-func (cr *ChannelRunner) ensureRunState(proverRounds, verifierRounds int) {
+// slot returns the first delivery slot of node x. One round's delivery
+// buffer holds, for every node, its own label and then its neighbours'
+// labels in port order: node x's message is slots [slot(x), slot(x+1)).
+// Edge labels travel in a second buffer in plain port order, [portOff[x],
+// portOff[x+1]).
+func (fi *frozenInstance) slot(x int) int { return fi.portOff[x] + x }
+
+// ensureRunState builds the channels (first run) and the per-node views
+// (first run, or a change of the prover-round count). Each run leaves
+// the views empty behind it (releaseViews).
+func (cr *ChannelRunner) ensureRunState(proverRounds int) {
 	fi := cr.fi
 	n := fi.n
 	if cr.deliver == nil {
-		cr.deliver = make([]chan nodeMsg, n)
+		cr.deliver = make([]chan frozenAssignment, n)
 		cr.coinsUp = make([]chan bitio.String, n)
 		cr.decide = make([]chan bool, n)
 		for i := 0; i < n; i++ {
-			cr.deliver[i] = make(chan nodeMsg, 1)
+			cr.deliver[i] = make(chan frozenAssignment, 1)
 			cr.coinsUp[i] = make(chan bitio.String, 1)
 			cr.decide[i] = make(chan bool, 1)
 		}
 	}
-	if cr.views != nil && cr.viewsP == proverRounds && cr.viewsV == verifierRounds {
-		for x := range cr.views {
-			view := &cr.views[x]
-			view.Coins = view.Coins[:0]
-			view.Own = view.Own[:0]
-			for pi := range view.Nbr {
-				view.Nbr[pi] = view.Nbr[pi][:0]
-				view.EdgeLab[pi] = view.EdgeLab[pi][:0]
-			}
-		}
+	if cr.views != nil && cr.viewsP == proverRounds {
 		return
 	}
 	cr.views = make([]View, n)
-	cr.viewsP, cr.viewsV = proverRounds, verifierRounds
+	cr.labels = make([][]bitio.String, n)
+	cr.viewsP = proverRounds
+	// nbrSlot[portOff[x]+p] is the slot of port p's neighbour label in
+	// node x's message; portSlot is the identity over the edge buffer.
+	nbrSlot := make([]int, fi.portOff[n])
+	portSlot := make([]int, fi.portOff[n])
+	rounds := make([]frozenAssignment, n*proverRounds)
+	labels := make([]bitio.String, n*proverRounds)
 	for x := 0; x < n; x++ {
-		ports := fi.ports[x]
-		eids := fi.portEID[x]
-		d := len(ports)
-		view := &cr.views[x]
-		view.V = x
-		view.Deg = d
-		view.Input = fi.nodeIn[x]
-		view.Coins = make([]bitio.String, 0, verifierRounds)
-		view.Own = make([]bitio.String, 0, proverRounds)
-		view.Nbr = make([][]bitio.String, d)
-		view.EdgeLab = make([][]bitio.String, d)
-		view.EdgeIn = make([]any, d)
-		view.NbrID = ports
-		flat := make([]bitio.String, 2*d*proverRounds)
-		for pi := 0; pi < d; pi++ {
-			view.Nbr[pi] = flat[2*pi*proverRounds : 2*pi*proverRounds : (2*pi+1)*proverRounds]
-			view.EdgeLab[pi] = flat[(2*pi+1)*proverRounds : (2*pi+1)*proverRounds : (2*pi+2)*proverRounds]
-			view.EdgeIn[pi] = fi.edgeIn[eids[pi]]
+		lo, hi := fi.portOff[x], fi.portOff[x+1]
+		for i := lo; i < hi; i++ {
+			nbrSlot[i] = fi.slot(x) + 1 + (i - lo)
+			portSlot[i] = i
 		}
+		cr.views[x] = View{
+			rounds: rounds[x*proverRounds : x*proverRounds : (x+1)*proverRounds],
+			self:   fi.slot(x),
+			nbr:    nbrSlot[lo:hi:hi],
+			edge:   portSlot[lo:hi:hi],
+			v:      x,
+			ports:  fi.ports[x],
+			eid:    fi.portEID[x],
+			edgeIn: fi.edgeIn,
+			input:  fi.nodeIn[x],
+		}
+		cr.labels[x] = labels[x*proverRounds : (x+1)*proverRounds : (x+1)*proverRounds]
 	}
-}
-
-// nodeMsg is one prover-round delivery to a node: its own label, its
-// neighbors' labels, and its incident edges' labels.
-type nodeMsg struct {
-	own     bitio.String
-	nbr     []bitio.String
-	edgeLab []bitio.String
 }
 
 // Run executes the interaction with one goroutine per node plus a prover
@@ -122,6 +119,7 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 	cfg := NewRunConfig(opts...)
 	traced := cfg.Tracer != nil
 	adv := cfg.Adversary
+	hook := cfg.hook
 	g := cr.inst.G
 	n := g.N()
 	fi := cr.fi
@@ -133,8 +131,8 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 	}
 
 	// Channels and per-node views persist across runs on the same
-	// ChannelRunner (built on the first run, reset on later ones).
-	cr.ensureRunState(proverRounds, verifierRounds)
+	// ChannelRunner (built on the first run, emptied after each).
+	cr.ensureRunState(proverRounds)
 	deliver, coinsUp, decide := cr.deliver, cr.coinsUp, cr.decide
 
 	// reseedNodeStates reuses the states slice once sized, so the
@@ -147,30 +145,47 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 		}
 	}
 
+	// Rows, when the verifier decodes them, live in one table per run
+	// indexed by delivery slot: each node decodes its own row and its
+	// neighbours' rows from the labels it received, into its own slots.
+	var rows rowTable
+	if rv, ok := v.(RowVerifier); ok {
+		rows = rv.Rows().newTable(fi.slot(n))
+	}
+	// board[r][x] is the coin string node x published in verifier round
+	// r. Each node writes only its own entry, before sending it up.
+	board := make([][]bitio.String, verifierRounds)
+	boardFlat := make([]bitio.String, verifierRounds*n)
+	for r := range board {
+		board[r] = boardFlat[r*n : (r+1)*n : (r+1)*n]
+	}
+	defer cr.releaseViews()
+
 	// Node goroutines: receive labels each prover round, emit coins each
-	// verifier round, decide at the end. Each node accumulates only its
-	// legal view, appending into the runner's long-lived per-node View
-	// whose backing arrays are fully allocated up front (flat, sliced
-	// per port), so the rounds themselves allocate nothing on the node
-	// side.
+	// verifier round, decide at the end. Each node's view reads only the
+	// rounds delivered to it so far, through its own slots of the
+	// round's delivery buffers.
 	var wg sync.WaitGroup
 	for x := 0; x < n; x++ {
 		wg.Add(1)
 		go func(x int) {
 			defer wg.Done()
 			view := &cr.views[x]
-			d := view.Deg
+			view.hook = hook
 			for pr := 0; pr < proverRounds; pr++ {
-				msg := <-deliver[x]
-				view.Own = append(view.Own, msg.own)
-				for pi := 0; pi < d; pi++ {
-					view.Nbr[pi] = append(view.Nbr[pi], msg.nbr[pi])
-					view.EdgeLab[pi] = append(view.EdgeLab[pi], msg.edgeLab[pi])
-				}
+				view.rounds = append(view.rounds, <-deliver[x])
 				if pr < verifierRounds {
+					view.coins, view.round = board[:pr], pr
 					c := v.Coins(pr, view, cr.nodeRngs[x])
-					view.Coins = append(view.Coins, c)
+					board[pr][x] = c
 					coinsUp[x] <- c
+				}
+			}
+			view.coins, view.round, view.rows = board, -1, rows
+			if rows != nil {
+				decodeRow(rows, view.rounds, view.self, cr.labels[x], hook)
+				for _, slot := range view.nbr {
+					decodeRow(rows, view.rounds, slot, cr.labels[x], hook)
 				}
 			}
 			decide[x] <- v.Decide(view)
@@ -224,22 +239,22 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 			if traced && adv != nil {
 				cfg.emitAdversaryAct(obs.EngineChannels, pr, adv.Name(), coinMut+labelMut)
 			}
-			// One flat delivery buffer per round, sliced per node via the
-			// CSR port offsets: two allocations for all n messages. The
-			// ranges are disjoint and written before the send, so nodes
-			// read them race-free.
-			nbrFlat := make([]bitio.String, fi.portOff[n])
-			labFlat := make([]bitio.String, fi.portOff[n])
+			// Two flat delivery buffers per round, node labels by slot and
+			// edge labels by port (see frozenInstance.slot): two
+			// allocations for all n messages. Each node's range is written
+			// before its send and read only by that node, so nodes read
+			// them race-free.
+			nodeBuf := make([]bitio.String, fi.slot(n))
+			edgeBuf := make([]bitio.String, fi.portOff[n])
 			for x := 0; x < n; x++ {
-				lo, hi := fi.portOff[x], fi.portOff[x+1]
-				msg := nodeMsg{own: fa.node[x], nbr: nbrFlat[lo:hi:hi], edgeLab: labFlat[lo:hi:hi]}
-				ports := fi.ports[x]
+				s, lo := fi.slot(x), fi.portOff[x]
+				nodeBuf[s] = fa.node[x]
 				eids := fi.portEID[x]
-				for pi := range ports {
-					msg.nbr[pi] = fa.node[ports[pi]]
-					msg.edgeLab[pi] = fa.edge[eids[pi]]
+				for pi, u := range fi.ports[x] {
+					nodeBuf[s+1+pi] = fa.node[u]
+					edgeBuf[lo+pi] = fa.edge[eids[pi]]
 				}
-				deliver[x] <- msg
+				deliver[x] <- frozenAssignment{node: nodeBuf, edge: edgeBuf}
 			}
 			if traced {
 				cfg.emitProverRoundEnd(obs.EngineChannels, pr, st.LabelBits[pr], phaseStart)
@@ -249,11 +264,10 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 					cfg.emitRoundStart(obs.VerifierRoundStart, obs.EngineChannels, pr)
 					phaseStart = time.Now()
 				}
-				round := make([]bitio.String, n)
+				round := board[pr]
 				for x := 0; x < n; x++ {
-					round[x] = <-coinsUp[x]
-					if round[x].Len() > st.MaxCoinBits {
-						st.MaxCoinBits = round[x].Len()
+					if c := <-coinsUp[x]; c.Len() > st.MaxCoinBits {
+						st.MaxCoinBits = c.Len()
 					}
 				}
 				coins = append(coins, round)
@@ -269,19 +283,14 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 		return nil
 	}()
 	if runErr != nil {
-		// Unblock node goroutines before returning: close delivery
-		// channels is unsafe mid-protocol, so drain by sending empties.
-		// Simplest: abandon the goroutines is not acceptable; deliver
-		// zero assignments for the remaining rounds.
+		// Unblock node goroutines before returning: closing delivery
+		// channels is unsafe mid-protocol, and abandoning the goroutines
+		// is not acceptable, so deliver empty labels for the remaining
+		// rounds.
+		empty := frozenAssignment{node: make([]bitio.String, fi.slot(n)), edge: make([]bitio.String, fi.portOff[n])}
 		for pr := len(assignments); pr < proverRounds; pr++ {
-			a := NewAssignment(g)
 			for x := 0; x < n; x++ {
-				nbrs := g.Neighbors(x)
-				deliver[x] <- nodeMsg{
-					own:     a.Node[x],
-					nbr:     make([]bitio.String, len(nbrs)),
-					edgeLab: make([]bitio.String, len(nbrs)),
-				}
+				deliver[x] <- empty
 			}
 			if pr < verifierRounds {
 				for x := 0; x < n; x++ {
@@ -327,4 +336,16 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 		Stats:       st,
 		Transcript:  Transcript{Assignments: assignments, Coins: coins},
 	}, nil
+}
+
+// releaseViews drops the run's delivery buffers, coins and rows from
+// the per-node views, so a ChannelRunner kept for later runs retains
+// none of them.
+func (cr *ChannelRunner) releaseViews() {
+	for x := range cr.views {
+		view := &cr.views[x]
+		clear(view.rounds)
+		view.rounds = view.rounds[:0]
+		view.coins, view.rows, view.hook = nil, nil, nil
+	}
 }

@@ -11,8 +11,8 @@ import (
 // frozenInstance is the dense, run-ready form of an Instance, built
 // once per Runner/ChannelRunner and shared by every run on it. All map
 // lookups of the construction-time API (Instance.EdgeInput,
-// Assignment.Edge) are resolved to edge-id-indexed slices here, so the
-// per-node view assembly does zero hashing and zero Canon calls.
+// Assignment.Edge) are resolved to edge-id-indexed slices here, so a
+// view read does zero hashing and zero Canon calls.
 type frozenInstance struct {
 	g *graph.Graph
 	n int
@@ -32,7 +32,7 @@ type frozenInstance struct {
 	// orientation; <= degeneracy many per node, <= 5 on planar graphs).
 	accountable [][]int
 	// emptyEdges is an all-zero length-M slice shared by every frozen
-	// assignment of a round with no edge labels, so view assembly never
+	// assignment of a round with no edge labels, so a view read never
 	// branches on "did this round label edges".
 	emptyEdges []bitio.String
 	// badEdgeInput records the first EdgeInput key that is not an edge of
@@ -173,16 +173,13 @@ func (fi *frozenInstance) accumulate(fa frozenAssignment, st *Stats) {
 	st.LabelBits = append(st.LabelBits, round)
 }
 
-// viewScratch is one worker's reusable View: flat backing arrays sliced
-// per port and per round, grown monotonically, so steady-state view
-// assembly allocates nothing. A View handed to Verifier.Coins/Decide is
-// valid only for the duration of that call; verifiers must not retain
-// it or any slice reachable from it.
+// viewScratch is one worker's reusable View and coin-stream cursor.
+// The view is repointed at each node in turn (see frozenInstance.at);
+// nothing is copied into it.
 type viewScratch struct {
 	view View
-	strs []bitio.String   // backing for Coins, Own, Nbr[p], EdgeLab[p]
-	rows [][]bitio.String // backing for Nbr, EdgeLab
-	ins  []any            // backing for EdgeIn
+	// labels gathers one node's labels for a row decode.
+	labels []bitio.String
 	// cur/rng are the worker's coin-stream cursor: one rand.Rand for the
 	// worker's whole life, repointed at each node's splitmix64 state
 	// before Verifier.Coins (see cursorSource).
@@ -197,65 +194,20 @@ func newViewScratch() *viewScratch {
 	return s
 }
 
-// grow ensures the backing arrays hold at least the given element
-// counts, reallocating only when capacity is exceeded.
-func (s *viewScratch) grow(strs, rows, ins int) {
-	if cap(s.strs) < strs {
-		s.strs = make([]bitio.String, strs)
-	}
-	s.strs = s.strs[:cap(s.strs)]
-	if cap(s.rows) < rows {
-		s.rows = make([][]bitio.String, rows)
-	}
-	s.rows = s.rows[:cap(s.rows)]
-	if cap(s.ins) < ins {
-		s.ins = make([]any, ins)
-	}
-	s.ins = s.ins[:cap(s.ins)]
+// begin points the worker's view at a phase of a run: the delivered
+// rounds, the published coins, the verifier round of a Coins batch (-1
+// for Decide), the run's rows and the run's hook.
+func (s *viewScratch) begin(fi *frozenInstance, rounds []frozenAssignment, coins [][]bitio.String, round int, rows rowTable, hook viewHook) *View {
+	s.view = View{rounds: rounds, coins: coins, edgeIn: fi.edgeIn, rows: rows, round: round, hook: hook}
+	return &s.view
 }
 
-// fill assembles node v's view for the current interaction state into
-// the scratch and returns it. Every slot of every window it slices out
-// is overwritten, so no stale data from a previous node leaks through.
-func (fi *frozenInstance) fill(s *viewScratch, v int, assignments []frozenAssignment, coins [][]bitio.String) *View {
-	ports := fi.ports[v]
-	eids := fi.portEID[v]
-	d := len(ports)
-	R := len(assignments)
-	C := len(coins)
-	s.grow(C+R+2*d*R, 2*d, d)
-
-	strs, rows := s.strs, s.rows
-	view := &s.view
-	view.V = v
-	view.Deg = d
-	view.Input = fi.nodeIn[v]
-	view.NbrID = ports
-
-	view.Coins = strs[:C:C]
-	for ri, round := range coins {
-		view.Coins[ri] = round[v]
-	}
-	view.Own = strs[C : C+R : C+R]
-	for ri := range assignments {
-		view.Own[ri] = assignments[ri].node[v]
-	}
-	view.Nbr = rows[:d:d]
-	view.EdgeLab = rows[d : 2*d : 2*d]
-	view.EdgeIn = s.ins[:d:d]
-	off := C + R
-	for p := 0; p < d; p++ {
-		u, eid := ports[p], eids[p]
-		nbr := strs[off : off+R : off+R]
-		lab := strs[off+R : off+2*R : off+2*R]
-		off += 2 * R
-		for ri := range assignments {
-			nbr[ri] = assignments[ri].node[u]
-			lab[ri] = assignments[ri].edge[eid]
-		}
-		view.Nbr[p] = nbr
-		view.EdgeLab[p] = lab
-		view.EdgeIn[p] = fi.edgeIn[eid]
-	}
-	return view
+// at points view at node x. In Runner the label and row index spaces
+// are vertex and edge ids, so the port tables serve as both index and
+// id tables.
+func (fi *frozenInstance) at(view *View, x int) {
+	view.self, view.v = x, x
+	view.nbr, view.ports = fi.ports[x], fi.ports[x]
+	view.edge, view.eid = fi.portEID[x], fi.portEID[x]
+	view.input = fi.nodeIn[x]
 }

@@ -91,40 +91,13 @@ type Prover interface {
 	Round(round int, coins [][]bitio.String) (*Assignment, error)
 }
 
-// View is everything node v may legally consult. The engines assemble
-// views in reusable per-worker scratch space: a View passed to
-// Verifier.Coins or Verifier.Decide (and everything reachable from its
-// slices) is valid only for the duration of that call and must not be
-// retained.
-type View struct {
-	// V is the engine-internal vertex id. Protocol code may use it to look
-	// up local input but must not treat it as information the node knows.
-	V     int
-	Deg   int
-	Input any
-	// Coins[r] is v's own public coin string of verifier round r.
-	Coins []bitio.String
-	// Own[r] is v's node label of prover round r.
-	Own []bitio.String
-	// Nbr[p][r] is the node label of the neighbor at port p in round r.
-	Nbr [][]bitio.String
-	// EdgeLab[p][r] is the label of the edge at port p in round r.
-	EdgeLab [][]bitio.String
-	// EdgeIn[p] is the shared input of the edge at port p.
-	EdgeIn []any
-	// NbrID[p] is the engine vertex id behind port p. Protocol code may
-	// use it only to interpret canonical edge-input encodings (e.g. which
-	// endpoint a directed EdgeInput points from), never as knowledge the
-	// anonymous node holds about its neighbor.
-	NbrID []int
-}
-
 // Verifier defines the distributed verifier: coin sampling and the final
 // local decision.
 type Verifier interface {
 	// Coins returns the public coin string node v publishes in verifier
-	// round r. The view contains labels of prover rounds before r. The rng
-	// is private to the node.
+	// round r. The view holds the labels of prover rounds 0..r and the
+	// node's coins of verifier rounds before r. The rng is private to
+	// the node.
 	Coins(round int, view *View, rng *rand.Rand) bitio.String
 	// Decide is the local accept/reject of node v given its full view.
 	Decide(view *View) bool
@@ -169,8 +142,9 @@ type Transcript struct {
 // Runner executes a protocol on an instance. NewRunner freezes the
 // instance into a dense edge-id-indexed form once; each Run freezes the
 // prover's assignments the same way, keeps a persistent pool of workers
-// alive across its rounds, and assembles per-node views in per-worker
-// scratch space — so the steady-state verifier loop allocates nothing.
+// alive across its rounds, and points one per-worker view at each node
+// in turn — views read the frozen rounds in place, so the steady-state
+// verifier loop copies no label and allocates nothing.
 // Per-node rngs and the frozen instance persist across runs (Repeat
 // exploits this), which makes a Runner NOT safe for concurrent Run
 // calls; use one Runner per goroutine.
@@ -182,7 +156,7 @@ type Runner struct {
 	// their scratch's cursor rng, so per-node randomness costs no
 	// per-node allocation and no shared state beyond the seeding pass.
 	states []nodeSource
-	// scratch[w] is worker w's reusable view, grown monotonically.
+	// scratch[w] is worker w's reusable view and coin cursor.
 	scratch []*viewScratch
 }
 
@@ -209,6 +183,8 @@ func (r *Runner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng
 	cfg := NewRunConfig(opts...)
 	traced := cfg.Tracer != nil
 	adv := cfg.Adversary
+	// The batch closures capture hook, not cfg, so cfg stays on the stack.
+	hook := cfg.hook
 	g := r.inst.G
 	n := g.N()
 	if err := r.fi.check(); err != nil {
@@ -240,6 +216,13 @@ func (r *Runner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng
 	for len(r.scratch) < workers {
 		r.scratch = append(r.scratch, newViewScratch())
 	}
+	// The worker views point into this run's rounds and rows; drop them
+	// with the run so a Runner kept for later runs retains neither.
+	defer func() {
+		for _, sc := range r.scratch {
+			sc.view = View{}
+		}
+	}()
 
 	var st Stats
 	st.Rounds = proverRounds + verifierRounds
@@ -313,8 +296,9 @@ func (r *Runner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng
 			round := make([]bitio.String, n)
 			workers, batchNS := r.parallelNodes(pool, func(w, lo, hi int) {
 				sc := r.scratch[w]
+				view := sc.begin(r.fi, frozen, coins, pr, nil, hook)
 				for x := lo; x < hi; x++ {
-					view := r.fi.fill(sc, x, frozen, coins)
+					r.fi.at(view, x)
 					sc.cur.s = &r.states[x]
 					round[x] = v.Coins(pr, view, sc.rng)
 				}
@@ -341,11 +325,26 @@ func (r *Runner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng
 		}
 		return nil, err
 	}
+	// Row pass: a row verifier's rows are decoded once each, in one
+	// batch, before any node decides.
+	var rows rowTable
+	if rv, ok := v.(RowVerifier); ok {
+		rows = rv.Rows().newTable(n)
+		r.parallelNodes(pool, func(w, lo, hi int) {
+			sc := r.scratch[w]
+			if len(sc.labels) < len(frozen) {
+				sc.labels = make([]bitio.String, len(frozen))
+			}
+			for x := lo; x < hi; x++ {
+				decodeRow(rows, frozen, x, sc.labels, hook)
+			}
+		}, false)
+	}
 	outputs := make([]bool, n)
 	decideWorkers, decideNS := r.parallelNodes(pool, func(w, lo, hi int) {
-		sc := r.scratch[w]
+		view := r.scratch[w].begin(r.fi, frozen, coins, -1, rows, hook)
 		for x := lo; x < hi; x++ {
-			view := r.fi.fill(sc, x, frozen, coins)
+			r.fi.at(view, x)
 			outputs[x] = v.Decide(view)
 		}
 	}, traced)

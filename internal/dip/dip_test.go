@@ -68,27 +68,27 @@ func TestRunDeliversLabelsAndCoins(t *testing.T) {
 		a1.Node[v] = bitio.FromUint(uint64(10+v), 5)
 	}
 	decide := func(view *View) bool {
-		own0, _ := view.Own[0].Reader().ReadUint(3)
-		if own0 != uint64(view.V) {
+		own0, _ := view.Own(0).Reader().ReadUint(3)
+		if own0 != uint64(view.v) {
 			return false
 		}
-		own1, _ := view.Own[1].Reader().ReadUint(5)
-		if own1 != uint64(10+view.V) {
+		own1, _ := view.Own(1).Reader().ReadUint(5)
+		if own1 != uint64(10+view.v) {
 			return false
 		}
 		// Neighbor labels must match the neighbor ids.
-		for p := 0; p < view.Deg; p++ {
-			nb, _ := view.Nbr[p][0].Reader().ReadUint(3)
-			if nb != uint64(view.NbrID[p]) {
+		for p := 0; p < view.Deg(); p++ {
+			nb, _ := view.Nbr(p, 0).Reader().ReadUint(3)
+			if nb != uint64(view.ports[p]) {
 				return false
 			}
 		}
 		// The edge label on (1,2) is visible from both sides.
-		if view.V == 1 || view.V == 2 {
+		if view.v == 1 || view.v == 2 {
 			found := false
-			for p := 0; p < view.Deg; p++ {
-				if view.EdgeLab[p][0].Len() == 3 {
-					el, _ := view.EdgeLab[p][0].Reader().ReadUint(3)
+			for p := 0; p < view.Deg(); p++ {
+				if view.EdgeLab(p, 0).Len() == 3 {
+					el, _ := view.EdgeLab(p, 0).Reader().ReadUint(3)
 					if el == 5 {
 						found = true
 					}
@@ -99,7 +99,7 @@ func TestRunDeliversLabelsAndCoins(t *testing.T) {
 			}
 		}
 		// Coins: one verifier round happened.
-		if len(view.Coins) != 1 || view.Coins[0].Len() != 4 {
+		if len(view.coins) != 1 || view.Coin(0).Len() != 4 {
 			return false
 		}
 		return true
@@ -153,7 +153,7 @@ func TestRejectionAggregation(t *testing.T) {
 	inst := NewInstance(g)
 	r := NewRunner(inst)
 	res, err := r.Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
-		echoVerifier{decide: func(view *View) bool { return view.V != 1 }}, 1, 0, rand.New(rand.NewSource(4)))
+		echoVerifier{decide: func(view *View) bool { return view.v != 1 }}, 1, 0, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestChannelRunnerMatchesRunner(t *testing.T) {
 	prover := func() Prover { return &fixedProver{assigns: []*Assignment{a0, a1}} }
 	verifier := echoVerifier{decide: func(view *View) bool {
 		// Accept iff round-0 own label equals V and a coin was seen.
-		own, _ := view.Own[0].Reader().ReadUint(4)
-		return own == uint64(view.V) && len(view.Coins) == 1
+		own, _ := view.Own(0).Reader().ReadUint(4)
+		return own == uint64(view.v) && len(view.coins) == 1
 	}}
 
 	r1, err := NewRunner(inst).Run(prover(), verifier, 2, 1, rand.New(rand.NewSource(7)))

@@ -21,7 +21,7 @@ func labeledFixture(n, proverRounds int) (*Instance, *fixedProver, echoVerifier)
 		}
 		assigns[pr] = a
 	}
-	v := echoVerifier{decide: func(view *View) bool { return view.Own[0].Len() > 0 }}
+	v := echoVerifier{decide: func(view *View) bool { return view.Own(0).Len() > 0 }}
 	return NewInstance(g), &fixedProver{assigns: assigns}, v
 }
 

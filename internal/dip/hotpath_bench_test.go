@@ -39,12 +39,10 @@ func (hotPathVerifier) Coins(round int, view *View, rng *rand.Rand) bitio.String
 
 func (hotPathVerifier) Decide(view *View) bool {
 	sum := 0
-	for r := range view.Own {
-		sum += view.Own[r].Len()
-	}
-	for p := 0; p < view.Deg; p++ {
-		for r := range view.Nbr[p] {
-			sum += view.Nbr[p][r].Len() + view.EdgeLab[p][r].Len()
+	for r := range view.rounds {
+		sum += view.Own(r).Len()
+		for p := 0; p < view.Deg(); p++ {
+			sum += view.Nbr(p, r).Len() + view.EdgeLab(p, r).Len()
 		}
 	}
 	return sum > 0

@@ -35,6 +35,10 @@ type RunConfig struct {
 	// the Adversary interface). Composite protocols forward it to their
 	// sub-executions via Child, so one option faults a whole nested run.
 	Adversary Adversary
+	// hook observes every view read and row decode of the run and its
+	// sub-executions. No exported option sets it: only tests do, to
+	// check locality.
+	hook viewHook
 }
 
 // RunOption configures one execution.
@@ -132,10 +136,14 @@ func NewRunConfig(opts ...RunOption) RunConfig {
 // disabled and no context attached it returns nil so sub-executions
 // stay on the zero-cost path.
 func (c RunConfig) Child(sub string) []RunOption {
-	if c.Tracer == nil && c.Ctx == nil && c.Engine == "" && c.Adversary == nil {
+	if c.Tracer == nil && c.Ctx == nil && c.Engine == "" && c.Adversary == nil && c.hook == nil {
 		return nil
 	}
 	var opts []RunOption
+	if c.hook != nil {
+		hook := c.hook
+		opts = append(opts, func(c *RunConfig) { c.hook = hook })
+	}
 	if c.Ctx != nil {
 		opts = append(opts, WithContext(c.Ctx))
 	}

@@ -25,7 +25,7 @@ func traceProto(g *graph.Graph) (Prover, Verifier) {
 		a1.Node[v] = bitio.FromUint(uint64(v%32), 5)
 	}
 	return &fixedProver{assigns: []*Assignment{a0, a1}},
-		echoVerifier{decide: func(view *View) bool { return view.V != 2 }}
+		echoVerifier{decide: func(view *View) bool { return view.v != 2 }}
 }
 
 func TestRunnerEmitsEventSequence(t *testing.T) {

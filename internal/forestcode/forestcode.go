@@ -46,8 +46,11 @@ func (l Label) Encode() bitio.String {
 }
 
 // DecodeLabel parses a forest-code label.
-func DecodeLabel(s bitio.String) (Label, error) {
-	r := s.Reader()
+func DecodeLabel(s bitio.String) (Label, error) { return ReadLabel(s.Reader()) }
+
+// ReadLabel reads a forest-code label in place from r, for labels that
+// embed one.
+func ReadLabel(r *bitio.Reader) (Label, error) {
 	c1, err := r.ReadUint(colorBits)
 	if err != nil {
 		return Label{}, fmt.Errorf("forestcode: %w", err)

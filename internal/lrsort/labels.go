@@ -47,7 +47,12 @@ func (l Round1Node) Encode(p Params) bitio.String {
 
 // DecodeRound1Node parses a round-1 node label.
 func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
-	r := s.Reader()
+	return ReadRound1Node(s.Reader(), p)
+}
+
+// ReadRound1Node reads a round-1 node label in place from r, for labels
+// that embed one; so do the other Read functions of this package.
+func ReadRound1Node(r *bitio.Reader, p Params) (Round1Node, error) {
 	j, err := r.ReadUint(p.JBits)
 	if err != nil {
 		return Round1Node{}, fmt.Errorf("lrsort: r1 node: %w", err)
@@ -95,7 +100,11 @@ func (l Round1Edge) Encode(p Params) bitio.String {
 
 // DecodeRound1Edge parses a round-1 edge label.
 func DecodeRound1Edge(s bitio.String, p Params) (Round1Edge, error) {
-	r := s.Reader()
+	return ReadRound1Edge(s.Reader(), p)
+}
+
+// ReadRound1Edge reads a round-1 edge label in place from r.
+func ReadRound1Edge(r *bitio.Reader, p Params) (Round1Edge, error) {
 	inner, err := r.ReadBool()
 	if err != nil {
 		return Round1Edge{}, fmt.Errorf("lrsort: r1 edge: %w", err)
@@ -126,7 +135,11 @@ func (c CoinsV1) Encode(p Params) bitio.String {
 
 // DecodeCoinsV1 parses the round-1 coins.
 func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
-	r := s.Reader()
+	return ReadCoinsV1(s.Reader(), p)
+}
+
+// ReadCoinsV1 reads the round-1 coins in place from r.
+func ReadCoinsV1(r *bitio.Reader, p Params) (CoinsV1, error) {
 	b := p.F0Bits()
 	var c CoinsV1
 	var err error
@@ -170,7 +183,11 @@ func (l Round2Node) Encode(p Params) bitio.String {
 
 // DecodeRound2Node parses a round-2 node label.
 func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
-	r := s.Reader()
+	return ReadRound2Node(s.Reader(), p)
+}
+
+// ReadRound2Node reads a round-2 node label in place from r.
+func ReadRound2Node(r *bitio.Reader, p Params) (Round2Node, error) {
 	b := p.F0Bits()
 	var l Round2Node
 	fields := []*uint64{&l.REcho, &l.RPEcho, &l.RBEcho, &l.ChainX1, &l.ChainX2, &l.BcastX1, &l.PrefPos}
@@ -199,7 +216,11 @@ func (l Round2Edge) Encode(p Params) bitio.String {
 
 // DecodeRound2Edge parses a round-2 edge label.
 func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
-	r := s.Reader()
+	return ReadRound2Edge(s.Reader(), p)
+}
+
+// ReadRound2Edge reads a round-2 edge label in place from r.
+func ReadRound2Edge(r *bitio.Reader, p Params) (Round2Edge, error) {
 	v, err := r.ReadUint(p.F0Bits())
 	if err != nil {
 		return Round2Edge{}, fmt.Errorf("lrsort: r2 edge: %w", err)

@@ -140,51 +140,44 @@ func (vf Verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String
 
 // Decide assembles the node view from the engine and runs CheckNode.
 func (vf Verifier) Decide(view *dip.View) bool {
-	nv, ok := AssembleView(vf.P, view, 0)
+	nv, ok := assembleView(vf.P, view)
 	if !ok {
 		return false
 	}
 	return CheckNode(vf.P, nv)
 }
 
-// AssembleView decodes the engine view into an LR-sorting NodeView.
-// roundOffset shifts the label rounds, letting composite protocols embed
-// the LR-sorting labels at later prover rounds.
-func AssembleView(p Params, view *dip.View, roundOffset int) (*NodeView, bool) {
+// assembleView decodes the engine view into an LR-sorting NodeView.
+func assembleView(p Params, view *dip.View) (*NodeView, bool) {
 	nv := &NodeView{}
 	var err error
-	if nv.R1, err = DecodeRound1Node(view.Own[roundOffset], p); err != nil {
+	if nv.R1, err = DecodeRound1Node(view.Own(0), p); err != nil {
 		return nil, false
 	}
-	if nv.R2, err = DecodeRound2Node(view.Own[roundOffset+1], p); err != nil {
+	if nv.R2, err = DecodeRound2Node(view.Own(1), p); err != nil {
 		return nil, false
 	}
-	if nv.R3, err = DecodeRound3Node(view.Own[roundOffset+2], p); err != nil {
+	if nv.R3, err = DecodeRound3Node(view.Own(2), p); err != nil {
 		return nil, false
 	}
-	if nv.C1, err = DecodeCoinsV1(view.Coins[roundOffset], p); err != nil {
+	if nv.C1, err = DecodeCoinsV1(view.Coin(0), p); err != nil {
 		return nil, false
 	}
-	if nv.C2, err = DecodeCoinsV2(view.Coins[roundOffset+1], p); err != nil {
+	if nv.C2, err = DecodeCoinsV2(view.Coin(1), p); err != nil {
 		return nil, false
 	}
-	for port := 0; port < view.Deg; port++ {
-		ei, okIn := view.EdgeIn[port].(EdgeInput)
+	for port := 0; port < view.Deg(); port++ {
+		ei, okIn := view.EdgeIn(port).(EdgeInput)
 		if !okIn {
 			return nil, false
 		}
-		nbr, ok := decodeNbr(p, view, port, roundOffset)
+		nbr, ok := decodeNbr(p, view, port)
 		if !ok {
 			return nil, false
 		}
 		// Out: is this node the tail of the directed edge? The edge is
-		// (Canon.U -> Canon.V) iff FromU. We recover which endpoint this
-		// node is from the port structure: view.V is engine-internal, but
-		// the EdgeInput direction is canonical, so compare ids.
-		u := view.V
-		other := neighborID(view, port)
-		e := graph.Canon(u, other)
-		out := (e.U == u) == ei.FromU
+		// (Canon.U -> Canon.V) iff FromU.
+		out := view.CanonU(port) == ei.FromU
 		if ei.OnPath {
 			if out {
 				nv.HasRight = true
@@ -195,12 +188,12 @@ func AssembleView(p Params, view *dip.View, roundOffset int) (*NodeView, bool) {
 			}
 			continue
 		}
-		ev := EdgeView{Out: out, Nbr: *nbr}
-		if ev.R1, err = DecodeRound1Edge(view.EdgeLab[port][roundOffset], p); err != nil {
+		ev := EdgeView{Out: out, Nbr: nbr}
+		if ev.R1, err = DecodeRound1Edge(view.EdgeLab(port, 0), p); err != nil {
 			return nil, false
 		}
 		if !ev.R1.Inner {
-			if ev.R2, err = DecodeRound2Edge(view.EdgeLab[port][roundOffset+1], p); err != nil {
+			if ev.R2, err = DecodeRound2Edge(view.EdgeLab(port, 1), p); err != nil {
 				return nil, false
 			}
 		}
@@ -209,23 +202,17 @@ func AssembleView(p Params, view *dip.View, roundOffset int) (*NodeView, bool) {
 	return nv, true
 }
 
-func decodeNbr(p Params, view *dip.View, port, roundOffset int) (*NbrLabels, bool) {
+func decodeNbr(p Params, view *dip.View, port int) (*NbrLabels, bool) {
 	var nbr NbrLabels
 	var err error
-	if nbr.R1, err = DecodeRound1Node(view.Nbr[port][roundOffset], p); err != nil {
+	if nbr.R1, err = DecodeRound1Node(view.Nbr(port, 0), p); err != nil {
 		return nil, false
 	}
-	if nbr.R2, err = DecodeRound2Node(view.Nbr[port][roundOffset+1], p); err != nil {
+	if nbr.R2, err = DecodeRound2Node(view.Nbr(port, 1), p); err != nil {
 		return nil, false
 	}
-	if nbr.R3, err = DecodeRound3Node(view.Nbr[port][roundOffset+2], p); err != nil {
+	if nbr.R3, err = DecodeRound3Node(view.Nbr(port, 2), p); err != nil {
 		return nil, false
 	}
 	return &nbr, true
-}
-
-// neighborID resolves the engine vertex id of the neighbor at a port.
-// The engine orders ports identically to graph.Neighbors.
-func neighborID(view *dip.View, port int) int {
-	return view.NbrID[port]
 }

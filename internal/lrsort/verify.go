@@ -15,7 +15,7 @@ type EdgeView struct {
 	R1  Round1Edge
 	R2  Round2Edge
 	// Nbr is the other endpoint's labels.
-	Nbr NbrLabels
+	Nbr *NbrLabels
 }
 
 // NodeView is everything one node consults in the LR-sorting decision.

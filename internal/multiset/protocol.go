@@ -100,7 +100,7 @@ type verifier struct {
 }
 
 func (vf verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String {
-	in := view.Input.(NodeInput)
+	in := view.Input().(NodeInput)
 	if in.ParentPort != -1 {
 		return bitio.String{} // only the root speaks
 	}
@@ -110,14 +110,14 @@ func (vf verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String
 }
 
 func (vf verifier) Decide(view *dip.View) bool {
-	in := view.Input.(NodeInput)
-	own, err := DecodeLabel(view.Own[1], vf.p)
+	in := view.Input().(NodeInput)
+	own, err := DecodeLabel(view.Own(1), vf.p)
 	if err != nil {
 		return false
 	}
 	var parent *Label
 	if in.ParentPort != -1 {
-		pl, err := DecodeLabel(view.Nbr[in.ParentPort][1], vf.p)
+		pl, err := DecodeLabel(view.Nbr(in.ParentPort, 1), vf.p)
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func (vf verifier) Decide(view *dip.View) bool {
 	}
 	children := make([]Label, 0, len(in.ChildPorts))
 	for _, p := range in.ChildPorts {
-		cl, err := DecodeLabel(view.Nbr[p][1], vf.p)
+		cl, err := DecodeLabel(view.Nbr(p, 1), vf.p)
 		if err != nil {
 			return false
 		}
@@ -133,7 +133,7 @@ func (vf verifier) Decide(view *dip.View) bool {
 	}
 	var sampled uint64
 	if in.ParentPort == -1 {
-		z, err := view.Coins[0].Reader().ReadUint(vf.p.PointBits())
+		z, err := view.Coin(0).Reader().ReadUint(vf.p.PointBits())
 		if err != nil {
 			return false
 		}

@@ -61,22 +61,16 @@ func (l Round1Node) Encode(p Params) bitio.String {
 	return w.String()
 }
 
-// DecodeRound1Node parses a round-1 node label.
+// DecodeRound1Node parses a round-1 node label. Like every decoder of
+// this package it reads the embedded sub-labels in place, from its own
+// reader.
 func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
 	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
+	fc, err := forestcode.ReadLabel(r)
 	if err != nil {
 		return Round1Node{}, fmt.Errorf("pathouter: r1 node: %w", err)
 	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	rest, err := r.ReadString(r.Remaining())
-	if err != nil {
-		return Round1Node{}, err
-	}
-	lr, err := lrsort.DecodeRound1Node(rest, p.LR)
+	lr, err := lrsort.ReadRound1Node(r, p.LR)
 	if err != nil {
 		return Round1Node{}, err
 	}
@@ -113,11 +107,7 @@ func DecodeRound1Edge(s bitio.String, p Params) (Round1Edge, error) {
 	if err != nil {
 		return Round1Edge{}, fmt.Errorf("pathouter: r1 edge: %w", err)
 	}
-	lrBits, err := r.ReadString(1 + p.LR.JBits)
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	lr, err := lrsort.DecodeRound1Edge(lrBits, p.LR)
+	lr, err := lrsort.ReadRound1Edge(r, p.LR)
 	if err != nil {
 		return Round1Edge{}, err
 	}
@@ -152,19 +142,11 @@ func (c CoinsV1) Encode(p Params) bitio.String {
 // DecodeCoinsV1 parses the round-1 coins.
 func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
 	r := s.Reader()
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
+	st, err := spantree.ReadCoin(r, p.ST)
 	if err != nil {
 		return CoinsV1{}, fmt.Errorf("pathouter: coins: %w", err)
 	}
-	st, err := spantree.DecodeCoin(stBits, p.ST)
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	lrBits, err := r.ReadString(3 * p.LR.F0Bits())
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	lr, err := lrsort.DecodeCoinsV1(lrBits, p.LR)
+	lr, err := lrsort.ReadCoinsV1(r, p.LR)
 	if err != nil {
 		return CoinsV1{}, err
 	}
@@ -204,19 +186,11 @@ func (l Round2Node) Encode(p Params) bitio.String {
 // DecodeRound2Node parses a round-2 node label.
 func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
 	r := s.Reader()
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
+	st, err := spantree.ReadSum(r, p.ST)
 	if err != nil {
 		return Round2Node{}, fmt.Errorf("pathouter: r2 node: %w", err)
 	}
-	st, err := spantree.DecodeSum(stBits, p.ST)
-	if err != nil {
-		return Round2Node{}, err
-	}
-	lrBits, err := r.ReadString(7 * p.LR.F0Bits())
-	if err != nil {
-		return Round2Node{}, err
-	}
-	lr, err := lrsort.DecodeRound2Node(lrBits, p.LR)
+	lr, err := lrsort.ReadRound2Node(r, p.LR)
 	if err != nil {
 		return Round2Node{}, err
 	}
@@ -255,13 +229,9 @@ func (l Round2Edge) Encode(p Params) bitio.String {
 // DecodeRound2Edge parses a round-2 edge label.
 func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
 	r := s.Reader()
-	lrBits, err := r.ReadString(p.LR.F0Bits())
+	lr, err := lrsort.ReadRound2Edge(r, p.LR)
 	if err != nil {
 		return Round2Edge{}, fmt.Errorf("pathouter: r2 edge: %w", err)
-	}
-	lr, err := lrsort.DecodeRound2Edge(lrBits, p.LR)
-	if err != nil {
-		return Round2Edge{}, err
 	}
 	nm, err := decodeName(r, p)
 	if err != nil {

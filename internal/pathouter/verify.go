@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/dip"
 	"repro/internal/forestcode"
-	"repro/internal/graph"
 	"repro/internal/lrsort"
 	"repro/internal/spantree"
 )
@@ -39,25 +38,65 @@ func (vf Verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String
 	return bitio.String{}
 }
 
-// edgeRec is one incident non-path edge, fully decoded.
-type edgeRec struct {
-	out   bool
-	r1    Round1Edge
-	r2    Round2Edge
-	nbrR1 Round1Node
-	nbrR2 Round2Node
-	nbrR3 lrsort.Round3Node
+// row is one node's node labels of all three prover rounds, decoded
+// once per run (see dip.RowVerifier): everything Decide reads of its
+// own labels and of its neighbours'. A row holds no pointer, so the
+// run's table of rows is never scanned by the garbage collector.
+type row struct {
+	fc forestcode.Label
+	st spantree.Sum
+	// lr is the LR-sorting stage's labels of rounds 1–3.
+	lr                          lrsort.NbrLabels
+	hasRightEdges, hasLeftEdges bool
+	above                       Name
 }
 
-// decideScratch holds Decide's per-node tables. Every element type is
-// pointer-free, so the backing arrays are never scanned by the garbage
-// collector. Decide takes one from decidePool instead of allocating
-// about ten slices per node; see DESIGN.md §9 for why the pool matters
-// to peak memory, not just to allocation counts.
+// Rows returns the codec that decodes a node's row from its labels.
+func (vf Verifier) Rows() dip.Rows {
+	p := vf.P
+	return dip.RowsOf(func(labels []bitio.String, w *row) bool { return w.decode(labels, p) })
+}
+
+func (w *row) decode(labels []bitio.String, p Params) bool {
+	r1, err := DecodeRound1Node(labels[0], p)
+	if err != nil {
+		return false
+	}
+	r2, err := DecodeRound2Node(labels[1], p)
+	if err != nil {
+		return false
+	}
+	r3, err := lrsort.DecodeRound3Node(labels[2], p.LR)
+	if err != nil {
+		return false
+	}
+	*w = row{
+		fc:            r1.FC,
+		st:            r2.ST,
+		lr:            lrsort.NbrLabels{R1: r1.LR, R2: r2.LR, R3: r3},
+		hasRightEdges: r2.HasRightEdges,
+		hasLeftEdges:  r2.HasLeftEdges,
+		above:         r2.Above,
+	}
+	return true
+}
+
+// edgeRec is one incident non-path edge, its labels decoded.
+type edgeRec struct {
+	out  bool
+	r1   Round1Edge
+	r2   Round2Edge
+	port int
+}
+
+// decideScratch holds Decide's per-node tables. Decide takes one from
+// decidePool instead of allocating about ten slices per node; see
+// DESIGN.md §9 for why the pool matters to peak memory, not just to
+// allocation counts. nbr and lrEdges point into the run's rows: put
+// clears them, so a pooled scratch never keeps a finished run's rows
+// alive. Every other element type is pointer-free.
 type decideScratch struct {
-	nbrR1       []Round1Node
-	nbrR2       []Round2Node
-	nbrR3       []lrsort.Round3Node
+	nbr         []*row
 	fcNbr       []forestcode.Label
 	nbrSums     []spantree.Sum
 	edges       []edgeRec
@@ -67,6 +106,14 @@ type decideScratch struct {
 }
 
 var decidePool = sync.Pool{New: func() any { return new(decideScratch) }}
+
+// put clears the scratch's pointers into the run's rows and returns it
+// to the pool.
+func (sc *decideScratch) put() {
+	clear(sc.nbr)
+	clear(sc.lrEdges)
+	decidePool.Put(sc)
+}
 
 // resize sets the scratch table *s to length n, reusing its backing
 // array when it is large enough, and returns it. Callers overwrite every
@@ -82,51 +129,34 @@ func resize[T any](s *[]T, n int) []T {
 // Decide runs the full composed verification at one node.
 func (vf Verifier) Decide(view *dip.View) bool {
 	sc := decidePool.Get().(*decideScratch)
-	defer decidePool.Put(sc)
+	defer sc.put()
 	p := vf.P
 
-	ownR1, err := DecodeRound1Node(view.Own[0], p)
+	own, ok := dip.OwnRow[row](view)
+	if !ok {
+		return false
+	}
+	coins1, err := DecodeCoinsV1(view.Coin(0), p)
 	if err != nil {
 		return false
 	}
-	ownR2, err := DecodeRound2Node(view.Own[1], p)
+	coins2, err := lrsort.DecodeCoinsV2(view.Coin(1), p.LR)
 	if err != nil {
 		return false
 	}
-	ownR3, err := lrsort.DecodeRound3Node(view.Own[2], p.LR)
-	if err != nil {
-		return false
-	}
-	coins1, err := DecodeCoinsV1(view.Coins[0], p)
-	if err != nil {
-		return false
-	}
-	coins2, err := lrsort.DecodeCoinsV2(view.Coins[1], p.LR)
-	if err != nil {
-		return false
-	}
-
-	nbrR1 := resize(&sc.nbrR1, view.Deg)
-	nbrR2 := resize(&sc.nbrR2, view.Deg)
-	nbrR3 := resize(&sc.nbrR3, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		if nbrR1[port], err = DecodeRound1Node(view.Nbr[port][0], p); err != nil {
-			return false
-		}
-		if nbrR2[port], err = DecodeRound2Node(view.Nbr[port][1], p); err != nil {
-			return false
-		}
-		if nbrR3[port], err = lrsort.DecodeRound3Node(view.Nbr[port][2], p.LR); err != nil {
+	nbr := resize(&sc.nbr, view.Deg())
+	for port := range nbr {
+		if nbr[port], ok = dip.NbrRow[row](view, port); !ok {
 			return false
 		}
 	}
 
 	// --- Stage A: path commitment -------------------------------------
-	fcNbr := resize(&sc.fcNbr, view.Deg)
+	fcNbr := resize(&sc.fcNbr, len(nbr))
 	for port := range fcNbr {
-		fcNbr[port] = nbrR1[port].FC
+		fcNbr[port] = nbr[port].fc
 	}
-	dec, err := forestcode.Decode(ownR1.FC, fcNbr)
+	dec, err := forestcode.Decode(own.fc, fcNbr)
 	if err != nil {
 		return false
 	}
@@ -139,84 +169,65 @@ func (vf Verifier) Decide(view *dip.View) bool {
 		childPort = dec.ChildPorts[0]
 	}
 	var parentSum *spantree.Sum
-	nbrSums := resize(&sc.nbrSums, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		nbrSums[port] = nbrR2[port].ST
+	nbrSums := resize(&sc.nbrSums, len(nbr))
+	for port := range nbrSums {
+		nbrSums[port] = nbr[port].st
 		if port == parentPort {
 			parentSum = &nbrSums[port]
 		}
 	}
-	if !spantree.CheckNode(p.ST, parentPort == -1, coins1.ST, ownR2.ST, parentSum, nbrSums) {
+	if !spantree.CheckNode(p.ST, parentPort == -1, coins1.ST, own.st, parentSum, nbrSums) {
 		return false
 	}
 
 	// --- Decode the non-path edges -------------------------------------
 	edges := sc.edges[:0]
-	for port := 0; port < view.Deg; port++ {
+	for port := range nbr {
 		if port == parentPort || port == childPort {
 			continue
 		}
-		r1e, err := DecodeRound1Edge(view.EdgeLab[port][0], p)
+		r1e, err := DecodeRound1Edge(view.EdgeLab(port, 0), p)
 		if err != nil {
 			return false
 		}
-		r2e, err := DecodeRound2Edge(view.EdgeLab[port][1], p)
+		r2e, err := DecodeRound2Edge(view.EdgeLab(port, 1), p)
 		if err != nil {
 			return false
 		}
-		e := graph.Canon(view.V, view.NbrID[port])
-		tail := e.V
-		if r1e.TailIsCanonU {
-			tail = e.U
-		}
-		edges = append(edges, edgeRec{
-			out:   tail == view.V,
-			r1:    r1e,
-			r2:    r2e,
-			nbrR1: nbrR1[port],
-			nbrR2: nbrR2[port],
-			nbrR3: nbrR3[port],
-		})
+		// The edge is directed from its canonical U end iff TailIsCanonU.
+		edges = append(edges, edgeRec{out: r1e.TailIsCanonU == view.CanonU(port), r1: r1e, r2: r2e, port: port})
 	}
 	sc.edges = edges
 
 	// --- Stage B: LR-sorting -------------------------------------------
 	lrEdges := sc.lrEdges[:0]
 	for _, e := range edges {
-		lrEdges = append(lrEdges, lrsort.EdgeView{
-			Out: e.out,
-			R1:  e.r1.LR,
-			R2:  e.r2.LR,
-			Nbr: lrsort.NbrLabels{R1: e.nbrR1.LR, R2: e.nbrR2.LR, R3: e.nbrR3},
-		})
+		lrEdges = append(lrEdges, lrsort.EdgeView{Out: e.out, R1: e.r1.LR, R2: e.r2.LR, Nbr: &nbr[e.port].lr})
 	}
 	sc.lrEdges = lrEdges
 	lrView := lrsort.NodeView{
-		R1:    ownR1.LR,
-		R2:    ownR2.LR,
-		R3:    ownR3,
+		R1:    own.lr.R1,
+		R2:    own.lr.R2,
+		R3:    own.lr.R3,
 		C1:    coins1.LR,
 		C2:    coins2,
 		Edges: lrEdges,
 	}
-	var left, right lrsort.NbrLabels
 	if parentPort != -1 {
-		left = lrsort.NbrLabels{R1: nbrR1[parentPort].LR, R2: nbrR2[parentPort].LR, R3: nbrR3[parentPort]}
-		lrView.HasLeft, lrView.Left = true, &left
+		lrView.HasLeft, lrView.Left = true, &nbr[parentPort].lr
 	}
 	if childPort != -1 {
-		right = lrsort.NbrLabels{R1: nbrR1[childPort].LR, R2: nbrR2[childPort].LR, R3: nbrR3[childPort]}
-		lrView.HasRight, lrView.Right = true, &right
+		lrView.HasRight, lrView.Right = true, &nbr[childPort].lr
 	}
 	if !lrsort.CheckNode(p.LR, &lrView) {
 		return false
 	}
 
 	// --- Stage C: nesting verification ----------------------------------
-	return vf.checkNesting(sc, ownR2, coins1, edges, parentPort, childPort, nbrR2)
+	return vf.checkNesting(sc, own, coins1, edges, parentPort, childPort, nbr)
 }
 
-func (vf Verifier) checkNesting(sc *decideScratch, ownR2 Round2Node, coins1 CoinsV1, edges []edgeRec, parentPort, childPort int, nbrR2 []Round2Node) bool {
+func (vf Verifier) checkNesting(sc *decideScratch, own *row, coins1 CoinsV1, edges []edgeRec, parentPort, childPort int, nbr []*row) bool {
 	right, left := sc.right[:0], sc.left[:0]
 	for _, e := range edges {
 		if e.out {
@@ -228,7 +239,7 @@ func (vf Verifier) checkNesting(sc *decideScratch, ownR2 Round2Node, coins1 Coin
 	sc.right, sc.left = right, left
 
 	// Side flags must match reality.
-	if ownR2.HasRightEdges != (len(right) > 0) || ownR2.HasLeftEdges != (len(left) > 0) {
+	if own.hasRightEdges != (len(right) > 0) || own.hasLeftEdges != (len(left) > 0) {
 		return false
 	}
 	// Path extremes carry no edges on the missing side.
@@ -260,14 +271,14 @@ func (vf Verifier) checkNesting(sc *decideScratch, ownR2 Round2Node, coins1 Coin
 
 	// Chains (conditions (1)-(3) plus the anchors of (4)/(5)).
 	if len(right) > 0 {
-		anchor := nbrR2[childPort].Above
-		if !chainExists(sc, right, anchor, ownR2.Above, true) {
+		anchor := nbr[childPort].above
+		if !chainExists(sc, right, anchor, own.above, true) {
 			return false
 		}
 	}
 	if len(left) > 0 {
-		anchor := nbrR2[parentPort].Above
-		if !chainExists(sc, left, anchor, ownR2.Above, false) {
+		anchor := nbr[parentPort].above
+		if !chainExists(sc, left, anchor, own.above, false) {
 			return false
 		}
 	}
@@ -276,12 +287,12 @@ func (vf Verifier) checkNesting(sc *decideScratch, ownR2 Round2Node, coins1 Coin
 	// endpoint touches the gap, the above label carries over unchanged;
 	// if both do, the instance has a crossing (see package doc).
 	if parentPort != -1 {
-		parentHasRight := nbrR2[parentPort].HasRightEdges
+		parentHasRight := nbr[parentPort].hasRightEdges
 		switch {
 		case parentHasRight && len(left) > 0:
 			return false
 		case !parentHasRight && len(left) == 0:
-			if !nameEq(ownR2.Above, nbrR2[parentPort].Above) {
+			if !nameEq(own.above, nbr[parentPort].above) {
 				return false
 			}
 		}

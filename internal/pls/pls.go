@@ -144,13 +144,13 @@ func (vf Verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String
 // positions); the deliberately-truncated variants exist only as attack
 // substrate for the lower-bound experiments.
 func (vf Verifier) Decide(view *dip.View) bool {
-	own, err := DecodeLabel(view.Own[0], vf.P)
+	own, err := DecodeLabel(view.Own(0), vf.P)
 	if err != nil {
 		return false
 	}
-	nbr := make([]Label, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		if nbr[port], err = DecodeLabel(view.Nbr[port][0], vf.P); err != nil {
+	nbr := make([]Label, view.Deg())
+	for port := range nbr {
+		if nbr[port], err = DecodeLabel(view.Nbr(port, 0), vf.P); err != nil {
 			return false
 		}
 	}

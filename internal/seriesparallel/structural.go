@@ -61,13 +61,9 @@ func (l structR1) encode() bitio.String {
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
+	fc, err := forestcode.ReadLabel(r)
 	if err != nil {
 		return structR1{}, fmt.Errorf("seriesparallel: r1: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return structR1{}, err
 	}
 	inP1, err := r.ReadBool()
 	if err != nil {
@@ -303,35 +299,36 @@ func (sv structVerifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.
 }
 
 func (sv structVerifier) Decide(view *dip.View) bool {
-	own1, err := decodeStructR1(view.Own[0])
+	own1, err := decodeStructR1(view.Own(0))
 	if err != nil {
 		return false
 	}
-	own2, err := decodeStructR2(view.Own[1], sv.p)
+	own2, err := decodeStructR2(view.Own(1), sv.p)
 	if err != nil {
 		return false
 	}
-	coin, err := decodeStructCoin(view.Coins[0], sv.p)
+	coin, err := decodeStructCoin(view.Coin(0), sv.p)
 	if err != nil {
 		return false
 	}
-	nbr1 := make([]structR1, view.Deg)
-	nbr2 := make([]structR2, view.Deg)
-	fcNbr := make([]forestcode.Label, view.Deg)
-	edges := make([]structEdge1, view.Deg)
-	hostR := make([]structEdge2, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		if nbr1[port], err = decodeStructR1(view.Nbr[port][0]); err != nil {
+	deg := view.Deg()
+	nbr1 := make([]structR1, deg)
+	nbr2 := make([]structR2, deg)
+	fcNbr := make([]forestcode.Label, deg)
+	edges := make([]structEdge1, deg)
+	hostR := make([]structEdge2, deg)
+	for port := 0; port < deg; port++ {
+		if nbr1[port], err = decodeStructR1(view.Nbr(port, 0)); err != nil {
 			return false
 		}
-		if nbr2[port], err = decodeStructR2(view.Nbr[port][1], sv.p); err != nil {
+		if nbr2[port], err = decodeStructR2(view.Nbr(port, 1), sv.p); err != nil {
 			return false
 		}
-		if edges[port], err = decodeStructEdge1(view.EdgeLab[port][0]); err != nil {
+		if edges[port], err = decodeStructEdge1(view.EdgeLab(port, 0)); err != nil {
 			return false
 		}
 		if edges[port].Kind != edgeSubEar {
-			if hostR[port], err = decodeStructEdge2(view.EdgeLab[port][1], sv.p); err != nil {
+			if hostR[port], err = decodeStructEdge2(view.EdgeLab(port, 1), sv.p); err != nil {
 				return false
 			}
 		}
@@ -345,14 +342,14 @@ func (sv structVerifier) Decide(view *dip.View) bool {
 		return false // sub-ears are simple paths
 	}
 	// F edges must be labeled as sub-ear edges and vice versa.
-	isF := make([]bool, view.Deg)
+	isF := make([]bool, deg)
 	if dec.ParentPort != -1 {
 		isF[dec.ParentPort] = true
 	}
 	for _, cp := range dec.ChildPorts {
 		isF[cp] = true
 	}
-	for port := 0; port < view.Deg; port++ {
+	for port := 0; port < deg; port++ {
 		if isF[port] != (edges[port].Kind == edgeSubEar) {
 			return false
 		}
@@ -381,13 +378,11 @@ func (sv structVerifier) Decide(view *dip.View) bool {
 		if own2.Ear == r {
 			return true
 		}
-		for port := 0; port < view.Deg; port++ {
+		for port := 0; port < deg; port++ {
 			if edges[port].Kind != edgeConnecting {
 				continue
 			}
-			u := view.V
-			e := graph.Canon(u, view.NbrID[port])
-			subSideIsMe := (e.U == u) == edges[port].ConnectsCanonU
+			subSideIsMe := view.CanonU(port) == edges[port].ConnectsCanonU
 			if !subSideIsMe && nbr2[port].Ear == r {
 				return true
 			}
@@ -410,12 +405,10 @@ func (sv structVerifier) Decide(view *dip.View) bool {
 		}
 	}
 	have := 0
-	for port := 0; port < view.Deg; port++ {
+	for port := 0; port < deg; port++ {
 		switch edges[port].Kind {
 		case edgeConnecting:
-			u := view.V
-			e := graph.Canon(u, view.NbrID[port])
-			mine := (e.U == u) == edges[port].ConnectsCanonU
+			mine := view.CanonU(port) == edges[port].ConnectsCanonU
 			if mine {
 				have++
 				if hostR[port].HostR != own2.PredEar {

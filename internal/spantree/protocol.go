@@ -168,12 +168,53 @@ func (vf verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String
 	return SampleCoin(vf.p, rng).Encode(vf.p)
 }
 
+// row is one node's two node labels, decoded once per run (see
+// dip.RowVerifier): its forest-code label, its root mark and its sum.
+type row struct {
+	fc   forestcode.Label
+	root bool
+	sum  Sum
+}
+
+// Rows returns the codec that decodes a node's row from its labels.
+func (vf verifier) Rows() dip.Rows {
+	p := vf.p
+	return dip.RowsOf(func(labels []bitio.String, w *row) bool { return w.decode(labels, p) })
+}
+
+func (w *row) decode(labels []bitio.String, p Params) bool {
+	if labels[0].Len() != forestcode.LabelBits+1 {
+		return false
+	}
+	r := labels[0].Reader()
+	fc, err := forestcode.ReadLabel(r)
+	if err != nil {
+		return false
+	}
+	root, _ := r.ReadBool()
+	sum, err := DecodeSum(labels[1], p)
+	if err != nil {
+		return false
+	}
+	*w = row{fc: fc, root: root, sum: sum}
+	return true
+}
+
 func (vf verifier) Decide(view *dip.View) bool {
-	own, nbr, ok := decodeRound0(view)
+	own, ok := dip.OwnRow[row](view)
 	if !ok {
 		return false
 	}
-	dec, err := forestcode.Decode(own.fc, fcLabels(nbr))
+	deg := view.Deg()
+	nbr := make([]*row, deg)
+	fcNbr := make([]forestcode.Label, deg)
+	for p := range nbr {
+		if nbr[p], ok = dip.NbrRow[row](view, p); !ok {
+			return false
+		}
+		fcNbr[p] = nbr[p].fc
+	}
+	dec, err := forestcode.Decode(own.fc, fcNbr)
 	if err != nil {
 		return false
 	}
@@ -183,79 +224,30 @@ func (vf verifier) Decide(view *dip.View) bool {
 	}
 	// The decoded forest must match the input T exactly: the T-ports are
 	// the parent port plus the child ports.
-	want := map[int]bool{}
+	want := make([]bool, deg)
 	if dec.ParentPort != -1 {
 		want[dec.ParentPort] = true
 	}
 	for _, p := range dec.ChildPorts {
 		want[p] = true
 	}
-	for p := 0; p < view.Deg; p++ {
-		ei, _ := view.EdgeIn[p].(EdgeInput)
+	for p := 0; p < deg; p++ {
+		ei, _ := view.EdgeIn(p).(EdgeInput)
 		if ei.OnTree != want[p] {
 			return false
 		}
 	}
-	coin, err := DecodeCoin(view.Coins[0], vf.p)
-	if err != nil {
-		return false
-	}
-	ownSum, err := DecodeSum(view.Own[1], vf.p)
+	coin, err := DecodeCoin(view.Coin(0), vf.p)
 	if err != nil {
 		return false
 	}
 	var parentSum *Sum
-	nbrSums := make([]Sum, view.Deg)
-	for p := 0; p < view.Deg; p++ {
-		s, err := DecodeSum(view.Nbr[p][1], vf.p)
-		if err != nil {
-			return false
-		}
-		nbrSums[p] = s
+	nbrSums := make([]Sum, deg)
+	for p := range nbrSums {
+		nbrSums[p] = nbr[p].sum
 		if p == dec.ParentPort {
 			parentSum = &nbrSums[p]
 		}
 	}
-	return CheckNode(vf.p, dec.ParentPort == -1, coin, ownSum, parentSum, nbrSums)
-}
-
-type round0Label struct {
-	fc   forestcode.Label
-	root bool
-}
-
-func decodeRound0(view *dip.View) (own round0Label, nbr []round0Label, ok bool) {
-	parse := func(s bitio.String) (round0Label, bool) {
-		if s.Len() != forestcode.LabelBits+1 {
-			return round0Label{}, false
-		}
-		r := s.Reader()
-		fcBits, _ := r.ReadString(forestcode.LabelBits)
-		fc, err := forestcode.DecodeLabel(fcBits)
-		if err != nil {
-			return round0Label{}, false
-		}
-		root, _ := r.ReadBool()
-		return round0Label{fc: fc, root: root}, true
-	}
-	own, ok = parse(view.Own[0])
-	if !ok {
-		return
-	}
-	nbr = make([]round0Label, view.Deg)
-	for p := 0; p < view.Deg; p++ {
-		nbr[p], ok = parse(view.Nbr[p][0])
-		if !ok {
-			return
-		}
-	}
-	return own, nbr, true
-}
-
-func fcLabels(ls []round0Label) []forestcode.Label {
-	out := make([]forestcode.Label, len(ls))
-	for i, l := range ls {
-		out[i] = l.fc
-	}
-	return out
+	return CheckNode(vf.p, dec.ParentPort == -1, coin, own.sum, parentSum, nbrSums)
 }

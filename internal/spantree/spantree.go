@@ -68,8 +68,10 @@ func (c Coin) Encode(p Params) bitio.String {
 }
 
 // DecodeCoin parses a coin.
-func DecodeCoin(s bitio.String, p Params) (Coin, error) {
-	r := s.Reader()
+func DecodeCoin(s bitio.String, p Params) (Coin, error) { return ReadCoin(s.Reader(), p) }
+
+// ReadCoin reads a coin in place from r, for coins that embed one.
+func ReadCoin(r *bitio.Reader, p Params) (Coin, error) {
 	a, err := r.ReadUint(p.Reps)
 	if err != nil {
 		return Coin{}, fmt.Errorf("spantree: %w", err)
@@ -111,8 +113,10 @@ func (s Sum) Encode(p Params) bitio.String {
 }
 
 // DecodeSum parses a sum label.
-func DecodeSum(b bitio.String, p Params) (Sum, error) {
-	r := b.Reader()
+func DecodeSum(b bitio.String, p Params) (Sum, error) { return ReadSum(b.Reader(), p) }
+
+// ReadSum reads a sum label in place from r, for labels that embed one.
+func ReadSum(r *bitio.Reader, p Params) (Sum, error) {
 	s, err := r.ReadUint(p.Reps)
 	if err != nil {
 		return Sum{}, fmt.Errorf("spantree: %w", err)
