@@ -6,10 +6,13 @@ package planardip
 // sweep tables.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/gen"
+	"repro/internal/protocol"
 )
 
 const benchN = 4096
@@ -17,6 +20,35 @@ const benchN = 4096
 func reportSize(b *testing.B, bits int, rounds int) {
 	b.ReportMetric(float64(bits), "proof-bits")
 	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// benchSweep is one point of a registered protocol's size sweep, as
+// dipbench runs it: every iteration certifies a fresh instance of the
+// descriptor's generator family at size benchN, and the last run's
+// proof size is reported.
+func benchSweep(b *testing.B, name string, seed int64) {
+	d, ok := protocol.Get(name)
+	if !ok {
+		b.Fatalf("protocol %q is not registered", name)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var last *protocol.Outcome
+	for i := 0; i < b.N; i++ {
+		spec := gen.FamilySpec{Family: d.Family, N: benchN, ChordProb: -1}
+		g, pos, rot, err := spec.BuildWitnessed(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := d.Run(context.Background(), &protocol.Instance{G: g, PathPos: pos, Rotation: rot}, rng.Int63())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.Accepted {
+			b.Fatal("rejected")
+		}
+		last = out
+	}
+	reportSize(b, last.ProofSizeBits, last.Rounds)
 }
 
 func BenchmarkE1PathOuterplanarity(b *testing.B) {
@@ -36,37 +68,9 @@ func BenchmarkE1PathOuterplanarity(b *testing.B) {
 	b.ReportMetric(float64(last.BaselineBits), "pls-bits")
 }
 
-func BenchmarkE2Outerplanarity(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E2Outerplanarity(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
+func BenchmarkE2Outerplanarity(b *testing.B) { benchSweep(b, "outerplanar", 2) }
 
-func BenchmarkE3Embedding(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E3Embedding(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
+func BenchmarkE3Embedding(b *testing.B) { benchSweep(b, "embedding", 3) }
 
 func BenchmarkE4Planarity(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
@@ -85,37 +89,9 @@ func BenchmarkE4Planarity(b *testing.B) {
 	b.ReportMetric(float64(last.RotationBits), "rotation-bits")
 }
 
-func BenchmarkE5SeriesParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E5SeriesParallel(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
+func BenchmarkE5SeriesParallel(b *testing.B) { benchSweep(b, "sp", 5) }
 
-func BenchmarkE6Treewidth2(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E6Treewidth2(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
+func BenchmarkE6Treewidth2(b *testing.B) { benchSweep(b, "treewidth2", 6) }
 
 func BenchmarkE7LowerBound(b *testing.B) {
 	var last exp.ThresholdRow

@@ -2,10 +2,12 @@ package blockcut
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/forestcode"
+	"repro/internal/graph"
 	"repro/internal/spantree"
 )
 
@@ -169,6 +171,67 @@ func FuzzDecoders(f *testing.F) {
 			}
 			if back, err := decodeStructR2(enc, p); err != nil || back != l {
 				t.Fatalf("r2 %+v round-trips to %+v, %v", l, back, err)
+			}
+		}
+	})
+}
+
+// refInduced is Induced one block at a time, as it was before it built
+// every block in one pass: a scan of all edges per block. It is the
+// oracle the one-pass form must agree with.
+func refInduced(verts []int, edges []graph.Edge) *graph.Graph {
+	idx := make(map[int]int, len(verts))
+	for i, v := range verts {
+		idx[v] = i
+	}
+	h := graph.New(len(verts))
+	for _, e := range edges {
+		iu, okU := idx[e.U]
+		iv, okV := idx[e.V]
+		if okU && okV {
+			h.MustAddEdge(iu, iv)
+		}
+	}
+	return h
+}
+
+// FuzzInduced checks the one-pass Induced against refInduced on small
+// random graphs and random plans: blocks that overlap in any number of
+// vertices, vertices listed twice, and vertices outside the graph. The
+// graph's edges are the pairs of edgeData, in that order; planData
+// lists block vertices, a byte of 0xff starting the next block.
+func FuzzInduced(f *testing.F) {
+	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 3}, []byte{0, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add(uint8(5), []byte{4, 0, 0, 1, 1, 2, 2, 3, 3, 4, 1, 3}, []byte{1, 2, 3, 1, 0xff, 0xff, 0, 4, 3, 7, 8, 0xff, 3, 1, 4})
+	f.Add(uint8(1), []byte{}, []byte{0, 0, 0xff})
+	f.Fuzz(func(t *testing.T, size uint8, edgeData, planData []byte) {
+		n := 1 + int(size)%12
+		g := graph.New(n)
+		for i := 0; i+1 < len(edgeData); i += 2 {
+			g.AddEdge(int(edgeData[i])%n, int(edgeData[i+1])%n) // self-loops and repeats are refused
+		}
+		blocks := [][]int{nil}
+		for _, b := range planData {
+			if b == 0xff {
+				blocks = append(blocks, nil)
+				continue
+			}
+			last := len(blocks) - 1
+			blocks[last] = append(blocks[last], int(b)%(n+4)-2) // includes -2, -1, n and n+1
+		}
+		got := Induced(n, blocks, g.Edges())
+		if len(got) != len(blocks) {
+			t.Fatalf("%d subgraphs for %d blocks", len(got), len(blocks))
+		}
+		for c, verts := range blocks {
+			want := refInduced(verts, g.Edges())
+			if got[c].N() != want.N() || !slices.Equal(got[c].Edges(), want.Edges()) {
+				t.Fatalf("block %d %v: got n=%d %v, want n=%d %v", c, verts, got[c].N(), got[c].Edges(), want.N(), want.Edges())
+			}
+			for v := range want.N() {
+				if !slices.Equal(got[c].Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("block %d %v: vertex %d ports %v, want %v", c, verts, v, got[c].Neighbors(v), want.Neighbors(v))
+				}
 			}
 		}
 	})

@@ -91,6 +91,13 @@ func HonestPlan(g *graph.Graph, span SpanBlock) (*Plan, error) {
 	for i := 0; i < len(order); i++ {
 		order = append(order, bct.ChildBlocks[order[i]]...)
 	}
+	// Blocks share at most one vertex, so each block's subgraph gets
+	// exactly its own component's edges, in their order.
+	var edges []graph.Edge
+	for _, comp := range dec.Components {
+		edges = append(edges, comp...)
+	}
+	subs := Induced(n, dec.Vertices, edges)
 	for _, c := range order {
 		verts := dec.Vertices[c]
 		sep := bct.ParentCut[c]
@@ -101,7 +108,7 @@ func HonestPlan(g *graph.Graph, span SpanBlock) (*Plan, error) {
 			p.ParentF[sep] = -1
 			p.IsLeader[sep] = true
 		}
-		block, parent, err := span(Induced(verts, dec.Components[c]), slices.Index(verts, sep))
+		block, parent, err := span(subs[c], slices.Index(verts, sep))
 		if err != nil {
 			return nil, fmt.Errorf("block %d: %w", c, err)
 		}
@@ -136,21 +143,42 @@ func HonestPlan(g *graph.Graph, span SpanBlock) (*Plan, error) {
 	return p, nil
 }
 
-// Induced returns the subgraph of edges on verts: vertex i of the result
-// is verts[i], and every edge with both endpoints in verts is added in
-// the order given.
-func Induced(verts []int, edges []graph.Edge) *graph.Graph {
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	h := graph.New(len(verts))
-	for _, e := range edges {
-		iu, okU := idx[e.U]
-		iv, okV := idx[e.V]
-		if okU && okV {
-			h.MustAddEdge(iu, iv)
+// Induced returns the subgraph of edges on each block, in one pass over
+// edges: vertex i of the c-th result is blocks[c][i], and every edge
+// with both endpoints in blocks[c] is added to it in the order given. A
+// vertex listed twice in a block keeps its last index, and block
+// vertices outside [0, n) stay isolated. Edge endpoints lie in [0, n).
+func Induced(n int, blocks [][]int, edges []graph.Edge) []*graph.Graph {
+	// at[v] lists v's (block, index) slots, sorted by block.
+	type slot struct{ block, index int }
+	at := make([][]slot, n)
+	subs := make([]*graph.Graph, len(blocks))
+	for c, b := range blocks {
+		subs[c] = graph.New(len(b))
+		for i, v := range b {
+			switch {
+			case v < 0 || v >= n:
+			case len(at[v]) > 0 && at[v][len(at[v])-1].block == c:
+				at[v][len(at[v])-1].index = i // listed twice in c: the last index wins
+			default:
+				at[v] = append(at[v], slot{c, i})
+			}
 		}
 	}
-	return h
+	for _, e := range edges {
+		// Merge the endpoints' lists: every block they share gets e.
+		su, sv := at[e.U], at[e.V]
+		for len(su) > 0 && len(sv) > 0 {
+			switch {
+			case su[0].block < sv[0].block:
+				su = su[1:]
+			case su[0].block > sv[0].block:
+				sv = sv[1:]
+			default:
+				subs[su[0].block].MustAddEdge(su[0].index, sv[0].index)
+				su, sv = su[1:], sv[1:]
+			}
+		}
+	}
+	return subs
 }

@@ -268,7 +268,7 @@ func (sv Verifier) Check(view *dip.View) (Node, bool) {
 	}
 
 	// Forest structure.
-	dec, err := forestcode.Decode(own1.FC, fcNbr)
+	dec, err := forestcode.Decode(own1.FC, fcNbr, nil)
 	if err != nil {
 		return Node{}, false
 	}

@@ -123,14 +123,15 @@ func TestCompositeNestingSpans(t *testing.T) {
 
 	collect := obs.NewCollect()
 	cfg := dip.NewRunConfig(dip.WithTracer(collect), dip.WithProtocol("fake-composite"))
-	end := cfg.CompositeSpan("fake-composite", 16, 5)
+	res := &dip.Outcome{Accepted: true}
+	end := cfg.CompositeSpan("fake-composite", 16, 5, &res)
 	if _, err := proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(1)), cfg.Child("stage-a")...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(2)), cfg.Child("stage-b")...); err != nil {
 		t.Fatal(err)
 	}
-	end(true, 0)
+	end()
 
 	runs := collect.Runs()
 	if len(runs) != 1 {

@@ -172,13 +172,15 @@ func (c *RunConfig) event(kind obs.EventKind, engine string) obs.Event {
 // (one that orchestrates nested engine executions and merges their
 // accounting): it emits RunStart now, tagged with protocol (unless the
 // config already carries a name), and returns the function that emits
-// the matching RunEnd. The returned close function must be called
-// exactly once on every path out of the composite, including failures
-// (pass accepted=false there), so that collectors keep their span
-// stacks balanced.
-func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int) func(accepted bool, maxLabelBits int) {
+// the matching RunEnd from the outcome *res holds by then, rejected
+// with no proof size when it is nil. A composite defers the returned
+// close function on its named result, so that every path out of it,
+// failures included, keeps collectors' span stacks balanced:
+//
+//	defer cfg.CompositeSpan("name", g.N(), Rounds, &res)()
+func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int, res **Outcome) func() {
 	if c.Tracer == nil {
-		return func(bool, int) {}
+		return func() {}
 	}
 	if c.Protocol == "" {
 		c.Protocol = protocol
@@ -188,12 +190,14 @@ func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int) func(accept
 	ev.Nodes = nodes
 	ev.Rounds = rounds
 	c.Tracer.Emit(ev)
-	return func(accepted bool, maxLabelBits int) {
+	return func() {
 		end := c.event(obs.RunEnd, obs.EngineComposite)
 		end.Nodes = nodes
 		end.Rounds = rounds
-		end.Accepted = accepted
-		end.MaxLabelBits = maxLabelBits
+		if o := *res; o != nil {
+			end.Accepted = o.Accepted
+			end.MaxLabelBits = o.ProofSizeBits
+		}
 		end.WallNS = time.Since(start).Nanoseconds()
 		c.Tracer.Emit(end)
 	}

@@ -118,8 +118,9 @@ func TestRunConfigChildSpans(t *testing.T) {
 func TestCompositeSpanBalancesOnFailure(t *testing.T) {
 	c := obs.NewCollect()
 	cfg := NewRunConfig(WithTracer(c))
-	end := cfg.CompositeSpan("comp", 4, 5)
-	end(false, 0)
+	var res *Outcome // the composite failed before it had an outcome
+	end := cfg.CompositeSpan("comp", 4, 5, &res)
+	end()
 	runs := c.Runs()
 	if len(runs) != 1 || runs[0].Engine != obs.EngineComposite || runs[0].Accepted {
 		t.Fatalf("composite span: %+v", runs)

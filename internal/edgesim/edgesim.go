@@ -103,7 +103,7 @@ func (enc *Encoding) DecodeAt(g *graph.Graph, v int) (map[int]bitio.String, erro
 		for p, u := range nbrs {
 			nbrLabels[p] = enc.Forest[i][u]
 		}
-		dec, err := forestcode.Decode(enc.Forest[i][v], nbrLabels)
+		dec, err := forestcode.Decode(enc.Forest[i][v], nbrLabels, nil)
 		if err != nil {
 			return nil, fmt.Errorf("edgesim: decode forest %d at %d: %w", i, v, err)
 		}

@@ -32,19 +32,21 @@ func ProofSizeBound(n, delta int) int {
 // Prepared is the coin-free half of an embedding run on (G, ρ):
 // everything before the verifier's first coin. It holds the BFS tree T,
 // the spanning-tree sub-instance with T's forest-code commitment, the
-// reduction h(G,T,ρ) with its engine instance (so h freezes once per
-// Prepared), and the path-outerplanarity prover's first round on h.
-// Runs only read it, so one Prepared serves concurrent runs.
+// reduction h(G,T,ρ) with its simulation map and its engine instance
+// (so h freezes once per Prepared), and the path-outerplanarity
+// prover's first round on h. Runs only read it, so one Prepared serves
+// concurrent runs.
 type Prepared struct {
-	g    *graph.Graph
-	rot  *planar.Rotation
-	err  error // n < 2 or no BFS tree: Run reports it
-	tree *graph.Tree
-	st   *spantree.Prepared
-	red  *Reduction // nil when ρ yields no h: the prover fails
-	hErr error      // no parameters for h: Run reports it
-	hdi  *dip.Instance
-	h    *pathouter.Prepared
+	g      *graph.Graph
+	rot    *planar.Rotation
+	err    error // n < 2 or no BFS tree: Run reports it
+	tree   *graph.Tree
+	st     *spantree.Prepared
+	red    *Reduction  // nil when ρ yields no h: the prover fails
+	copies *dip.SimMap // the real nodes that hold each copy's labels
+	hErr   error       // no parameters for h: Run reports it
+	hdi    *dip.Instance
+	h      *pathouter.Prepared
 }
 
 // Prepare computes the coin-free half of an embedding run on g with the
@@ -72,6 +74,7 @@ func Prepare(g *graph.Graph, rot *planar.Rotation) *Prepared {
 		return pr
 	}
 	pr.red = red
+	pr.copies = copyMap(red)
 	pp, err := pathouter.NewParams(red.H.N())
 	if err != nil {
 		pr.hErr = err
@@ -99,14 +102,7 @@ func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOp
 func (pr *Prepared) Run(rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	g := pr.g
 	cfg := dip.NewRunConfig(opts...)
-	endRun := cfg.CompositeSpan("embedding", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer cfg.CompositeSpan("embedding", g.N(), Rounds, &res)()
 	res = &dip.Outcome{Rounds: Rounds}
 	if pr.err != nil {
 		return nil, pr.err
@@ -150,8 +146,11 @@ func (pr *Prepared) Run(rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome
 	}
 
 	res.Accepted = stRes.Accepted && hRes.Accepted && cornerOK
-	res.ProofSizeBits = mergeBits(g, pr.red, stRes, hRes)
-	res.TotalLabelBits = stRes.Stats.TotalLabelBits + hRes.Stats.TotalLabelBits
+	// The spanning-tree stage's rounds align with h's first two.
+	charges := dip.NewCharges(g.N(), len(hRes.Stats.LabelBits))
+	charges.Add(pr.copies, hRes.Stats.LabelBits, hRes.Stats.TotalLabelBits)
+	charges.Add(nil, stRes.Stats.LabelBits, stRes.Stats.TotalLabelBits)
+	res.ProofSizeBits, res.TotalLabelBits = charges.ProofSizeBits(), charges.Total
 	return res, nil
 }
 
@@ -326,56 +325,32 @@ func nameEq(a, b pathouter.Name) bool {
 	return a.A == b.A && a.B == b.B
 }
 
-// mergeBits charges h's label bits to real nodes: each copy's bits go to
-// its owner, plus each owner re-holds its boundary copies' path
-// neighbors, plus the spanning-tree stage bits.
-func mergeBits(g *graph.Graph, red *Reduction, stRes, hRes *dip.Result) int {
-	rounds := len(hRes.Stats.LabelBits)
-	merged := make([][]int, rounds)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	// Copy bits to owners.
-	for r, row := range hRes.Stats.LabelBits {
-		for c, bits := range row {
-			merged[r][red.Owner[c]] += bits
-		}
-	}
-	// Boundary copies' path neighbors: v also stores the labels of the
-	// path neighbors of x_0(v) and x_chi(v).
-	at := make([]int, red.H.N())
+// copyMap simulates h(G,T,ρ) on real nodes: each copy is held by its
+// owner, and each real node v also holds the path neighbors of its
+// boundary copies, the copy before x_0(v) and the copy after x_χ(v).
+func copyMap(red *Reduction) *dip.SimMap {
+	nh := red.H.N()
+	at := make([]int, nh)
 	for c, q := range red.PosH {
 		at[q] = c
 	}
-	for v := 0; v < g.N(); v++ {
-		first := red.Copies[v][0]
-		last := red.Copies[v][len(red.Copies[v])-1]
-		var extra []int
-		if q := red.PosH[first]; q > 0 {
-			extra = append(extra, at[q-1])
-		}
-		if q := red.PosH[last]; q+1 < red.H.N() {
-			extra = append(extra, at[q+1])
-		}
-		for r := range merged {
-			for _, c := range extra {
-				merged[r][v] += hRes.Stats.LabelBits[r][c]
+	m := dip.NewSimMap(nh, nh+2*len(red.Copies))
+	var buf [3]int
+	for c := range nh {
+		hs := append(buf[:0], red.Owner[c])
+		if q := red.PosH[c]; q+1 < nh {
+			x := at[q+1]
+			if cs := red.Copies[red.CopyOf[x]]; cs[0] == x {
+				hs = append(hs, red.CopyOf[x]) // c precedes x = x_0(v)
 			}
 		}
-	}
-	// Spanning-tree stage bits (rounds align with the first two).
-	for r, row := range stRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
-	max := 0
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > max {
-				max = bits
+		if q := red.PosH[c]; q > 0 {
+			x := at[q-1]
+			if cs := red.Copies[red.CopyOf[x]]; cs[len(cs)-1] == x {
+				hs = append(hs, red.CopyOf[x]) // c follows x = x_χ(v)
 			}
 		}
+		m.Add(hs...)
 	}
-	return max
+	return m
 }

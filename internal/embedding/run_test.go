@@ -84,3 +84,22 @@ func TestRunProofSizeDoublyLogarithmic(t *testing.T) {
 		t.Fatalf("proof size growth too fast: %v", sizes)
 	}
 }
+
+// TestCopyMapLocality checks the simulation map of h(G,T,ρ) on the
+// protocol's generator family: each copy is held, and only by its own
+// node or a neighbor of it in g.
+func TestCopyMapLocality(t *testing.T) {
+	for _, n := range []int{24, 256} {
+		g, _, rot, err := gen.FamilySpec{Family: "triangulation", N: n, ChordProb: -1}.BuildWitnessed(rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := Prepare(g, rot)
+		if pr.copies == nil {
+			t.Fatalf("n=%d: no reduction", n)
+		}
+		if err := pr.copies.Local(g, pr.red.CopyOf); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}

@@ -1,6 +1,8 @@
-// Package exp implements the experiment suite of EXPERIMENTS.md: one
-// function per paper claim (E1–E11), shared by the root benchmarks and
-// the cmd/dipbench table generator.
+// Package exp implements the experiments of EXPERIMENTS.md that are
+// more than a registered protocol's size sweep (E1 with its PLS
+// baseline, E4 and E7–E10, the ablation and the adversarial suite),
+// shared by the root benchmarks and the cmd/dipbench table generator.
+// The E2, E3, E5 and E6 sweeps run through internal/protocol.
 package exp
 
 import (
@@ -13,12 +15,10 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/lrsort"
 	"repro/internal/multiset"
-	"repro/internal/outerplanar"
 	"repro/internal/pathouter"
 	"repro/internal/planar"
 	"repro/internal/planarity"
 	"repro/internal/pls"
-	"repro/internal/seriesparallel"
 	"repro/internal/spantree"
 	"repro/internal/treewidth2"
 
@@ -61,26 +61,6 @@ func E1PathOuterplanarity(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow
 	}, nil
 }
 
-// E2Outerplanarity measures Theorem 1.3 at size n.
-func E2Outerplanarity(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Outerplanar(rng, n, 0.4)
-	res, err := outerplanar.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
-// E3Embedding measures Theorem 1.4 at size n on random triangulations.
-func E3Embedding(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Triangulation(rng, n)
-	res, err := embedding.Run(gi.G, gi.Rot, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
 // DeltaRow is one point of the Theorem 1.5 Δ-sweep.
 type DeltaRow struct {
 	N            int
@@ -103,26 +83,6 @@ func E4Planarity(rng *rand.Rand, n, delta int, opts ...dip.RunOption) (DeltaRow,
 		RotationBits: res.RotationBits,
 		Accepted:     res.Accepted,
 	}, nil
-}
-
-// E5SeriesParallel measures Theorem 1.6 at size n.
-func E5SeriesParallel(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.SeriesParallel(rng, n)
-	res, err := seriesparallel.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: gi.G.N(), Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
-// E6Treewidth2 measures Theorem 1.7 at size n.
-func E6Treewidth2(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Treewidth2(rng, n)
-	res, err := treewidth2.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
 }
 
 // ThresholdRow is one point of the Theorem 1.8 lower-bound sweep.

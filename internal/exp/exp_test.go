@@ -14,10 +14,6 @@ func TestSizeExperimentsAcceptSmall(t *testing.T) {
 		f    func(*rand.Rand, int, ...dip.RunOption) (SizeRow, error)
 	}{
 		{"E1", E1PathOuterplanarity},
-		{"E2", E2Outerplanarity},
-		{"E3", E3Embedding},
-		{"E5", E5SeriesParallel},
-		{"E6", E6Treewidth2},
 		{"E8", E8LRSort},
 	}
 	for _, tt := range tests {

@@ -38,7 +38,7 @@ func BenchmarkDecode(b *testing.B) {
 			for p, u := range inst.G.Neighbors(v) {
 				nbr[p] = labels[u]
 			}
-			if _, err := Decode(labels[v], nbr); err != nil {
+			if _, err := Decode(labels[v], nbr, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -176,11 +176,13 @@ type Decoded struct {
 }
 
 // Decode recovers the local forest structure of a node from its own label
-// and its neighbors' labels (indexed by port). It returns an error when
-// the labels are inconsistent (more than one parent candidate), which a
-// verifier must treat as rejection.
-func Decode(own Label, nbr []Label) (Decoded, error) {
-	d := Decoded{ParentPort: -1}
+// and its neighbors' labels (indexed by port). The child ports are
+// appended to children, so a caller that decodes node after node can
+// pass the same slice's [:0] each time; nil allocates. It returns an
+// error when the labels are inconsistent (more than one parent
+// candidate), which a verifier must treat as rejection.
+func Decode(own Label, nbr []Label, children []int) (Decoded, error) {
+	d := Decoded{ParentPort: -1, ChildPorts: children}
 	for p, l := range nbr {
 		if l.Parity == own.Parity {
 			continue // tree edges connect different parities

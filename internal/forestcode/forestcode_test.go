@@ -18,7 +18,7 @@ func decodeAll(t *testing.T, g *graph.Graph, labels []Label) []int {
 		for p, u := range g.Neighbors(v) {
 			nbrLabels[p] = labels[u]
 		}
-		d, err := Decode(labels[v], nbrLabels)
+		d, err := Decode(labels[v], nbrLabels, nil)
 		if err != nil {
 			t.Fatalf("decode at %d: %v", v, err)
 		}
@@ -65,7 +65,7 @@ func TestRoundTripChildren(t *testing.T) {
 		for p, u := range inst.G.Neighbors(v) {
 			nbrLabels[p] = labels[u]
 		}
-		d, err := Decode(labels[v], nbrLabels)
+		d, err := Decode(labels[v], nbrLabels, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestDecodeRejectsAmbiguity(t *testing.T) {
 		{C1: 1, C2: 5, Parity: 0},
 		{C1: 1, C2: 6, Parity: 0},
 	}
-	if _, err := Decode(own, nbr); err == nil {
+	if _, err := Decode(own, nbr, nil); err == nil {
 		t.Fatal("ambiguous parents accepted")
 	}
 }

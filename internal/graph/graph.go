@@ -256,26 +256,6 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// InducedSubgraph returns the subgraph induced by verts and the mapping
-// from new vertex indices to original ones.
-func (g *Graph) InducedSubgraph(verts []int) (*Graph, []int) {
-	idx := make(map[int]int, len(verts))
-	orig := make([]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-		orig[i] = v
-	}
-	h := New(len(verts))
-	for _, e := range g.edges {
-		iu, okU := idx[e.U]
-		iv, okV := idx[e.V]
-		if okU && okV {
-			h.mustAddEdge(iu, iv)
-		}
-	}
-	return h, orig
-}
-
 // Contract returns the graph obtained by merging vertices according to
 // part (part[v] = supervertex of v, supervertices must be 0..k-1 for some
 // k), discarding self-loops and parallel edges. It also returns k.

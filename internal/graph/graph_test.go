@@ -73,18 +73,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := New(5)
-	mustEdges(t, g, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	h, orig := g.InducedSubgraph([]int{1, 2, 3})
-	if h.N() != 3 || h.M() != 2 {
-		t.Fatalf("induced n=%d m=%d", h.N(), h.M())
-	}
-	if orig[0] != 1 || orig[2] != 3 {
-		t.Fatal("orig mapping wrong")
-	}
-}
-
 func TestContract(t *testing.T) {
 	g := New(4)
 	mustEdges(t, g, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})

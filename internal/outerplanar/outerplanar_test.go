@@ -20,12 +20,13 @@ func TestHonestPlanOnGeneratedInstances(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Every component path must be properly nested.
-		for _, path := range plan.Blocks {
+		subs := blockcut.Induced(gi.G.N(), plan.Blocks, gi.G.Edges())
+		for ci, path := range plan.Blocks {
 			pos := make([]int, len(path))
 			for i := range pos {
 				pos[i] = i
 			}
-			if !planar.ProperlyNested(blockcut.Induced(path, gi.G.Edges()), pos) {
+			if !planar.ProperlyNested(subs[ci], pos) {
 				t.Fatalf("trial %d: component path not nested", trial)
 			}
 		}
@@ -166,5 +167,27 @@ func TestProofSizeDoublyLogarithmic(t *testing.T) {
 	}
 	if sizes[2] >= 2*sizes[0] {
 		t.Fatalf("proof size growth too fast: %v", sizes)
+	}
+}
+
+// TestComponentMapLocality checks every component's simulation map on
+// the protocol's generator family: each sub-vertex is held, and only by
+// its own node or a neighbor of it in g.
+func TestComponentMapLocality(t *testing.T) {
+	for _, n := range []int{24, 256} {
+		g, err := gen.FamilySpec{Family: "outerplanar", N: n, ChordProb: -1}.Build(rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := HonestPlan(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := blockcut.Induced(g.N(), plan.Blocks, g.Edges())
+		for ci, path := range plan.Blocks {
+			if err := componentMap(subs[ci], path).Local(g, path); err != nil {
+				t.Fatalf("n=%d component %d: %v", n, ci, err)
+			}
+		}
 	}
 }

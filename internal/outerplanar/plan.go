@@ -18,8 +18,9 @@
 //     neighbors so that cut vertices carry O(log log n) bits total.
 //
 // The per-component executions run on derived sub-instances; their label
-// bits are merged back onto the real nodes under the paper's deferral
-// accounting (see DESIGN.md §4, implementation notes).
+// bits are charged to the real nodes through each component's
+// simulation map, under the paper's deferral accounting (DESIGN.md §7,
+// implementation note 5).
 package outerplanar
 
 import (

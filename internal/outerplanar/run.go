@@ -63,14 +63,7 @@ func (pv pathVerifier) Decide(view *dip.View) bool {
 // rejecting component sub-run).
 func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
-	endRun := cfg.CompositeSpan("outerplanar", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer cfg.CompositeSpan("outerplanar", g.N(), Rounds, &res)()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -91,26 +84,18 @@ func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOpt
 	if !structRes.Accepted {
 		res.Reject("structural")
 	}
-	res.TotalLabelBits = structRes.Stats.TotalLabelBits
-
-	// Per-node per-round label bits, merged across stages. The composed
-	// protocol has 3 prover rounds; structural labels ride in the first
-	// two.
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	// The composed protocol has 3 prover rounds; structural labels ride
+	// in the first two.
+	charges := dip.NewCharges(g.N(), 3)
+	charges.Add(nil, structRes.Stats.LabelBits, structRes.Stats.TotalLabelBits)
 
 	// Stage 3: path-outerplanarity in every component, numbered along
-	// its path.
+	// its path. A prover that cannot label a component loses that
+	// component: the verifier there rejects.
 	accepted := structRes.Accepted
+	subs := blockcut.Induced(g.N(), plan.Blocks, g.Edges())
 	for ci, path := range plan.Blocks {
-		sub := blockcut.Induced(path, g.Edges())
+		sub := subs[ci]
 		if sub.N() < 2 {
 			return nil, fmt.Errorf("outerplanar: degenerate component %d", ci)
 		}
@@ -123,56 +108,35 @@ func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOpt
 			pos[i] = i
 		}
 		inst := &pathouter.Instance{G: sub, Pos: pos}
-		sdi := dip.NewInstance(sub)
-		sres, err := pathouter.Protocol(inst, pp).RunOnce(sdi, rng, cfg.Child(fmt.Sprintf("component-%d", ci))...)
+		sres, err := pathouter.Prepare(inst, pp).Run(dip.NewInstance(sub), rng, cfg.Child(fmt.Sprintf("component-%d", ci))...)
 		if err != nil {
-			if dip.Aborted(err) {
-				return nil, err
-			}
-			// A prover that cannot label a component loses that
-			// component: the verifier there rejects.
-			res.Reject("component")
-			accepted = false
-			continue
+			return nil, err
 		}
 		if !sres.Accepted {
 			res.Reject("component")
 			accepted = false
 		}
-		res.TotalLabelBits += sres.Stats.TotalLabelBits
-		mergeComponentBits(merged, sres.Stats.LabelBits, sub, path)
+		charges.Add(componentMap(sub, path), sres.NodeBits, sres.TotalLabelBits)
 	}
 	res.Accepted = accepted
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.ProofSizeBits, res.TotalLabelBits = charges.ProofSizeBits(), charges.Total
 	return res, nil
 }
 
-// mergeComponentBits charges a component execution's label bits to real
-// nodes: ordinary members carry their own labels; the separating node's
-// labels are deferred to each of its component neighbors (paper §6), so
-// cut vertices stay small no matter how many components meet there.
-// Sub-vertex i of sub is path[i]; sub-vertex 0 is the separating node.
-func mergeComponentBits(merged [][]int, bits [][]int, sub *graph.Graph, path []int) {
-	for r, row := range bits {
-		if r >= len(merged) {
-			break
-		}
-		for sv, b := range row {
-			if sv == 0 {
-				// Defer the separating node's bits to its neighbors
-				// within the component.
-				for _, u := range sub.Neighbors(0) {
-					merged[r][path[u]] += b
-				}
-				continue
-			}
-			merged[r][path[sv]] += b
-		}
+// componentMap simulates a component execution on real nodes: sub-vertex
+// i of sub is path[i] and holds its own labels, except sub-vertex 0, the
+// separating node, whose labels are deferred to each of its component
+// neighbors (paper §6), so cut vertices stay small no matter how many
+// components meet there.
+func componentMap(sub *graph.Graph, path []int) *dip.SimMap {
+	sep := make([]int, 0, sub.Degree(0))
+	for _, u := range sub.Neighbors(0) {
+		sep = append(sep, path[u])
 	}
+	m := dip.NewSimMap(len(path), len(path)-1+len(sep))
+	m.Add(sep...)
+	for _, v := range path[1:] {
+		m.Add(v)
+	}
+	return m
 }

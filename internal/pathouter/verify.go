@@ -98,6 +98,7 @@ type edgeRec struct {
 type decideScratch struct {
 	nbr         []*row
 	fcNbr       []forestcode.Label
+	childPorts  []int
 	nbrSums     []spantree.Sum
 	edges       []edgeRec
 	lrEdges     []lrsort.EdgeView
@@ -156,10 +157,11 @@ func (vf Verifier) Decide(view *dip.View) bool {
 	for port := range fcNbr {
 		fcNbr[port] = nbr[port].fc
 	}
-	dec, err := forestcode.Decode(own.fc, fcNbr)
+	dec, err := forestcode.Decode(own.fc, fcNbr, sc.childPorts[:0])
 	if err != nil {
 		return false
 	}
+	sc.childPorts = dec.ChildPorts
 	if len(dec.ChildPorts) > 1 {
 		return false // a path has at most one child per node
 	}

@@ -83,14 +83,7 @@ func Run(g *graph.Graph, hint *planar.Rotation, rng *rand.Rand, opts ...dip.RunO
 func (pr *Prepared) Run(rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	g := pr.g
 	cfg := dip.NewRunConfig(opts...)
-	endRun := cfg.CompositeSpan("planarity", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer cfg.CompositeSpan("planarity", g.N(), Rounds, &res)()
 	res = &dip.Outcome{Rounds: Rounds}
 	if pr.err != nil {
 		return nil, pr.err

@@ -35,14 +35,7 @@ func ProofSizeBound(n, delta int) int {
 // (Theorem 1.7).
 func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
-	endRun := cfg.CompositeSpan("seriesparallel", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer cfg.CompositeSpan("seriesparallel", g.N(), Rounds, &res)()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -61,17 +54,8 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	if !structRes.Accepted {
 		res.Reject("structural")
 	}
-	res.TotalLabelBits = structRes.Stats.TotalLabelBits
-
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	charges := dip.NewCharges(g.N(), 3)
+	charges.Add(nil, structRes.Stats.LabelBits, structRes.Stats.TotalLabelBits)
 
 	accepted := structRes.Accepted
 	for nix, ni := range plan.NestingInstances() {
@@ -80,60 +64,41 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			return nil, err
 		}
 		inst := &pathouter.Instance{G: ni.G, Pos: ni.Pos}
-		sdi := dip.NewInstance(ni.G)
-		sres, err := pathouter.Protocol(inst, pp).RunOnce(sdi, rng, cfg.Child(fmt.Sprintf("ear-%d", nix))...)
+		sres, err := pathouter.Prepare(inst, pp).Run(dip.NewInstance(ni.G), rng, cfg.Child(fmt.Sprintf("ear-%d", nix))...)
 		if err != nil {
-			if dip.Aborted(err) {
-				return nil, err
-			}
-			res.Reject("nesting")
-			accepted = false
-			continue
+			return nil, err
 		}
 		if !sres.Accepted {
 			res.Reject("nesting")
 			accepted = false
 		}
-		res.TotalLabelBits += sres.Stats.TotalLabelBits
-		mergeEarBits(merged, sres.Stats.LabelBits, ni, plan)
+		charges.Add(earMap(ni, plan), sres.NodeBits, sres.TotalLabelBits)
 	}
 	res.Accepted = accepted
-	res.NodeBits = merged
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.NodeBits = charges.Bits
+	res.ProofSizeBits, res.TotalLabelBits = charges.ProofSizeBits(), charges.Total
 	return res, nil
 }
 
-// mergeEarBits charges an ear execution's label bits: interior nodes
-// carry their own labels; the ear's two endpoints (which live on the host
-// ear) have their labels deferred to their adjacent interior nodes, as in
-// the paper's ears-as-edges simulation.
-func mergeEarBits(merged [][]int, sub [][]int, ni NestingInstance, plan *Plan) {
+// earMap simulates an ear execution on real nodes: interior nodes hold
+// their own labels; the ear's two endpoints, which live on the host
+// ear, have their labels deferred to the adjacent walk vertex, as in
+// the paper's ears-as-edges simulation. Nesting instances have at least
+// two vertices.
+func earMap(ni NestingInstance, plan *Plan) *dip.SimMap {
 	k := len(ni.Orig)
-	for r, row := range sub {
-		if r >= len(merged) {
-			break
-		}
-		for sv, bits := range row {
-			v := ni.Orig[sv]
-			interiorHere := plan.EarOf[v] == ni.Ear
-			if interiorHere {
-				merged[r][v] += bits
-				continue
-			}
-			// Deferred endpoint: charge the adjacent path node(s).
-			if sv == 0 && k > 1 {
-				merged[r][ni.Orig[1]] += bits
-			} else if sv == k-1 && k > 1 {
-				merged[r][ni.Orig[k-2]] += bits
-			} else {
-				merged[r][v] += bits
-			}
+	m := dip.NewSimMap(k, k)
+	for sv, v := range ni.Orig {
+		switch {
+		case plan.EarOf[v] == ni.Ear:
+			m.Add(v)
+		case sv == 0:
+			m.Add(ni.Orig[1])
+		case sv == k-1:
+			m.Add(ni.Orig[k-2])
+		default:
+			m.Add(v)
 		}
 	}
+	return m
 }

@@ -225,3 +225,24 @@ func TestProofSizeDoublyLogarithmic(t *testing.T) {
 		t.Fatalf("proof size growth too fast: %v", sizes)
 	}
 }
+
+// TestEarMapLocality checks every ear's simulation map on the
+// protocol's generator family: each ear vertex is held, and only by its
+// own node or a neighbor of it in g.
+func TestEarMapLocality(t *testing.T) {
+	for _, n := range []int{24, 256} {
+		g, err := gen.FamilySpec{Family: "sp", N: n, ChordProb: -1}.Build(rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := HonestPlan(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nix, ni := range plan.NestingInstances() {
+			if err := earMap(ni, plan).Local(g, ni.Orig); err != nil {
+				t.Fatalf("n=%d ear instance %d: %v", n, nix, err)
+			}
+		}
+	}
+}

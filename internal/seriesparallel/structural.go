@@ -334,7 +334,7 @@ func (sv structVerifier) Decide(view *dip.View) bool {
 		}
 		fcNbr[port] = nbr1[port].FC
 	}
-	dec, err := forestcode.Decode(own1.FC, fcNbr)
+	dec, err := forestcode.Decode(own1.FC, fcNbr, nil)
 	if err != nil {
 		return false
 	}

@@ -214,7 +214,7 @@ func (vf verifier) Decide(view *dip.View) bool {
 		}
 		fcNbr[p] = nbr[p].fc
 	}
-	dec, err := forestcode.Decode(own.fc, fcNbr)
+	dec, err := forestcode.Decode(own.fc, fcNbr, nil)
 	if err != nil {
 		return false
 	}

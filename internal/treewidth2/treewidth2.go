@@ -96,14 +96,7 @@ func ProofSizeBound(n, delta int) int {
 // rejecting block sub-run).
 func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
-	endRun := cfg.CompositeSpan("treewidth2", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer cfg.CompositeSpan("treewidth2", g.N(), Rounds, &res)()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -122,27 +115,16 @@ func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOpt
 	if !structRes.Accepted {
 		res.Reject("structural")
 	}
-	res.TotalLabelBits = structRes.Stats.TotalLabelBits
-
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	charges := dip.NewCharges(g.N(), 3)
+	charges.Add(nil, structRes.Stats.LabelBits, structRes.Stats.TotalLabelBits)
 
 	accepted := structRes.Accepted
+	subs := blockcut.Induced(g.N(), plan.Blocks, g.Edges())
 	for c, verts := range plan.Blocks {
 		if len(verts) < 2 {
 			continue
 		}
-		// Biconnected blocks share at most one vertex, so any edge with
-		// both endpoints in the block belongs to it.
-		sub := blockcut.Induced(verts, g.Edges())
-		sres, err := seriesparallel.Run(sub, nil, rng, cfg.Child(fmt.Sprintf("block-%d", c))...)
+		sres, err := seriesparallel.Run(subs[c], nil, rng, cfg.Child(fmt.Sprintf("block-%d", c))...)
 		if err != nil {
 			return nil, err
 		}
@@ -151,30 +133,23 @@ func Run(g *graph.Graph, plan *blockcut.Plan, rng *rand.Rand, opts ...dip.RunOpt
 			accepted = false
 			continue
 		}
-		res.TotalLabelBits += sres.TotalLabelBits
-		// Merge: block members carry their own labels; the separating
-		// vertex's labels are deferred to the block leader (the root
-		// block's lead is its root, its own first vertex).
-		for r, row := range sres.NodeBits {
-			if r >= len(merged) {
-				break
-			}
-			for sv, bits := range row {
-				v := verts[sv]
-				if sv == 0 {
-					v = plan.Lead[c]
-				}
-				merged[r][v] += bits
-			}
-		}
+		charges.Add(blockMap(verts, plan.Lead[c]), sres.NodeBits, sres.TotalLabelBits)
 	}
 	res.Accepted = accepted
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.ProofSizeBits, res.TotalLabelBits = charges.ProofSizeBits(), charges.Total
 	return res, nil
+}
+
+// blockMap simulates a block's series-parallel execution, whose charges
+// already sit on the block's own vertices, on real nodes: block vertex
+// i is verts[i], except that the separating vertex's labels are
+// deferred to the block leader lead (the root block's lead is its root,
+// its own first vertex).
+func blockMap(verts []int, lead int) *dip.SimMap {
+	m := dip.NewSimMap(len(verts), len(verts))
+	m.Add(lead)
+	for _, v := range verts[1:] {
+		m.Add(v)
+	}
+	return m
 }

@@ -116,3 +116,24 @@ func TestProofSizeDoublyLogarithmic(t *testing.T) {
 		t.Fatalf("proof size growth too fast: %v", sizes)
 	}
 }
+
+// TestBlockMapLocality checks every block's simulation map on the
+// protocol's generator family: each block vertex is held, and only by
+// its own node or a neighbor of it in g.
+func TestBlockMapLocality(t *testing.T) {
+	for _, n := range []int{24, 256} {
+		g, err := gen.FamilySpec{Family: "treewidth2", N: n, ChordProb: -1}.Build(rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := HonestPlan(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, verts := range plan.Blocks {
+			if err := blockMap(verts, plan.Lead[c]).Local(g, verts); err != nil {
+				t.Fatalf("n=%d block %d: %v", n, c, err)
+			}
+		}
+	}
+}
