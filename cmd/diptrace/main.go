@@ -190,7 +190,7 @@ func emitJSON(n int, seed int64, gi *gen.PathOuterplanarInstance, p pathouter.Pa
 	}
 	if err := row(map[string]any{
 		"type": "edge_labels", "round": 1, "phase": "prover",
-		"count": len(tr.Assignments[0].Edge),
+		"count": tr.Assignments[0].LabelledEdges(),
 	}); err != nil {
 		return err
 	}
@@ -290,7 +290,7 @@ func emitText(n int, seed int64, gi *gen.PathOuterplanarInstance, p pathouter.Pa
 			l.LR.J, b2i(l.LR.X1Bit), b2i(l.LR.X2Bit), l.LR.VB, l.LR.M0, l.LR.M1,
 			tr.Assignments[0].Node[v].Len())
 	}
-	fmt.Printf("  + %d edge labels (orientation, class, longest marks)\n\n", len(tr.Assignments[0].Edge))
+	fmt.Printf("  + %d edge labels (orientation, class, longest marks)\n\n", tr.Assignments[0].LabelledEdges())
 
 	fmt.Println("--- round 2 (verifier): public coins ---")
 	for v := 0; v < gi.G.N(); v++ {

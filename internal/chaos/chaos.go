@@ -208,13 +208,12 @@ func (s *truncate) Corrupt(round int, a *dip.Assignment, prev []*dip.Assignment)
 	if round == 0 {
 		return a, 0
 	}
-	mut := 0
+	mut := a.LabelledEdges()
 	for _, l := range a.Node {
 		if l.Len() > 0 {
 			mut++
 		}
 	}
-	mut += len(a.Edge)
 	return dip.NewAssignment(s.g), mut
 }
 

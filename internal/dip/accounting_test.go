@@ -41,15 +41,15 @@ func TestEdgeLabelAccountingK4(t *testing.T) {
 				t.Fatalf("K4 degeneracy = %d, want 3", degen)
 			}
 
-			a := NewAssignment(g)
+			a := NewEdgeAssignment(g)
 			for v := 0; v < g.N(); v++ {
 				if w := tc.nodeBits(v); w > 0 {
 					a.Node[v] = bitio.FromUint(1, w)
 				}
 			}
-			for eid, e := range g.Edges() {
+			for eid := range g.Edges() {
 				if w := tc.edgeBits(eid); w > 0 {
-					a.Edge[e] = bitio.FromUint(1, w)
+					a.Edge[eid] = bitio.FromUint(1, w)
 				}
 			}
 
@@ -91,56 +91,92 @@ func TestEdgeLabelAccountingK4(t *testing.T) {
 	}
 }
 
+// badTableLengths are the table lengths, for a graph of m edges, that
+// the length check at the freeze boundary must refuse.
+func badTableLengths(m int) map[string]int {
+	return map[string]int{"length 1": 1, "length m-1": m - 1, "length m+1": m + 1}
+}
+
 // TestFreezeRejectsSmuggledEdgeLabels pins the freeze-time validation
-// of prover assignments: an adversarial prover labeling an edge that is
-// not in the graph — or using a non-canonical key — used to be skipped
-// silently by the map-lookup read path, letting label bits bypass the
-// Stats accounting entirely. Both engines must now reject such an
+// of prover assignments. Edge labels are an edge-id table of length 0
+// or m, and every entry of an m-length table is a real edge that the
+// accounting charges, so the length check is the whole validation
+// boundary: a table of any other length would carry label bits no
+// accountable endpoint is charged for. Both engines must reject such an
 // assignment as an error instead of running to a verdict.
 func TestFreezeRejectsSmuggledEdgeLabels(t *testing.T) {
-	cases := []struct {
-		name string
-		edge graph.Edge
-	}{
-		// pathGraph(4) has edges (0,1) (1,2) (2,3) only.
-		{"absent edge", graph.Edge{U: 0, V: 2}},
-		{"out of range", graph.Edge{U: 1, V: 9}},
-		{"non-canonical key", graph.Edge{U: 2, V: 1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := pathGraph(4)
+	g := pathGraph(4)
+	for name, size := range badTableLengths(g.M()) {
+		t.Run(name, func(t *testing.T) {
 			a := NewAssignment(g)
-			a.Edge[graph.Canon(0, 1)] = bitio.FromUint(1, 3)
-			a.Edge[tc.edge] = bitio.FromUint(1, 64) // the smuggled bits
+			a.Edge = make([]bitio.String, size)
+			for id := range a.Edge {
+				a.Edge[id] = bitio.FromUint(1, 64) // the smuggled bits
+			}
 			v := echoVerifier{decide: func(*View) bool { return true }}
 			if _, err := NewRunner(NewInstance(g)).Run(&fixedProver{assigns: []*Assignment{a}},
 				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
-				t.Error("runner accepted assignment with unaccountable edge label")
+				t.Error("runner accepted assignment with unaccountable edge labels")
 			}
 			if _, err := NewChannelRunner(NewInstance(g)).Run(&fixedProver{assigns: []*Assignment{a}},
 				v, 2, 1, rand.New(rand.NewSource(1))); err == nil {
-				t.Error("channel engine accepted assignment with unaccountable edge label")
+				t.Error("channel engine accepted assignment with unaccountable edge labels")
 			}
 		})
 	}
 }
 
 // TestRunRejectsUnknownEdgeInput is the same validation for the
-// instance itself: EdgeInput keyed by a non-edge is a construction bug
-// surfaced at the first run, not silently dropped input.
+// instance itself: an edge-input table that is neither empty nor one
+// entry per edge is a construction bug, surfaced by Freeze and at the
+// first run of either engine instead of silently misread input.
 func TestRunRejectsUnknownEdgeInput(t *testing.T) {
 	g := pathGraph(4)
-	inst := NewInstance(g)
-	inst.EdgeInput[graph.Edge{U: 0, V: 3}] = "orphan"
-	v := echoVerifier{decide: func(*View) bool { return true }}
-	if _, err := NewRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
-		v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("runner accepted instance with edge input on a non-edge")
+	for name, size := range badTableLengths(g.M()) {
+		t.Run(name, func(t *testing.T) {
+			inst := NewInstance(g)
+			inst.EdgeInput = make([]any, size)
+			for id := range inst.EdgeInput {
+				inst.EdgeInput[id] = "orphan"
+			}
+			if _, err := Freeze(inst); err == nil {
+				t.Error("Freeze accepted a mis-sized edge-input table")
+			}
+			v := echoVerifier{decide: func(*View) bool { return true }}
+			if _, err := NewRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
+				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
+				t.Error("runner accepted a mis-sized edge-input table")
+			}
+			if _, err := NewChannelRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
+				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
+				t.Error("channel engine accepted a mis-sized edge-input table")
+			}
+		})
 	}
-	if _, err := NewChannelRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
-		v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("channel engine accepted instance with edge input on a non-edge")
+}
+
+// TestFreezeSharesEdgeLabels pins the cost of delivering a round with
+// edge labels: freezing checks the table's length and reads the
+// prover's own slices, so it allocates nothing.
+func TestFreezeSharesEdgeLabels(t *testing.T) {
+	g := k4()
+	fi := NewRunner(NewInstance(g)).fi
+	a := NewEdgeAssignment(g)
+	for id := range a.Edge {
+		a.Edge[id] = bitio.FromUint(uint64(id), 3)
+	}
+	var fa frozenAssignment
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if fa, err = fi.freeze(a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("freezing a labelled round allocated %.1f times per run, want 0", allocs)
+	}
+	if &fa.edge[0] != &a.Edge[0] || &fa.node[0] != &a.Node[0] {
+		t.Error("the frozen round does not read the prover's own tables")
 	}
 }
 

@@ -1,7 +1,6 @@
 package dip
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/bitio"
@@ -23,7 +22,7 @@ import (
 //     engine freezes it, the adversary may mutate labels. The corrupted
 //     assignment flows through the same freeze/accumulate path as an
 //     honest one, so injected bits are metered by the proof-size
-//     accounting and anti-smuggling validation exactly like honest bits.
+//     accounting and the freeze length check exactly like honest bits.
 //  3. Decide — after the decision phase, the adversary may override
 //     individual node verdicts (crash-faulty nodes that always accept).
 //
@@ -49,8 +48,8 @@ type Adversary interface {
 	// place; the label strings it holds are immutable. prev holds
 	// the already-delivered (post-corruption) assignments of earlier
 	// rounds. The returned assignment must keep one node label per
-	// vertex and canonical edge keys; violations surface as engine
-	// errors, not silent drops.
+	// vertex and either no edge labels or one per edge; violations
+	// surface as engine errors, not silent drops.
 	Corrupt(round int, a *Assignment, prev []*Assignment) (*Assignment, int)
 	// Decide returns node's final verdict given its honest decision.
 	Decide(node int, honest bool) bool
@@ -69,7 +68,7 @@ func WithAdversary(a Adversary) RunOption {
 // strategies mutate labels in place while a prover may hand the same
 // assignment to every run (a prepared, coin-free first round).
 func corruptRound(adv Adversary, g *graph.Graph, round int, a *Assignment, prev []*Assignment) (*Assignment, int) {
-	a, mut := adv.Corrupt(round, &Assignment{Node: slices.Clone(a.Node), Edge: maps.Clone(a.Edge)}, prev)
+	a, mut := adv.Corrupt(round, &Assignment{Node: slices.Clone(a.Node), Edge: slices.Clone(a.Edge)}, prev)
 	if a == nil {
 		a = NewAssignment(g)
 	}

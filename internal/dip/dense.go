@@ -9,16 +9,18 @@ import (
 )
 
 // frozenInstance is the dense, run-ready form of an Instance, built
-// once per Runner/ChannelRunner and shared by every run on it. All map
-// lookups of the construction-time API (Instance.EdgeInput,
-// Assignment.Edge) are resolved to edge-id-indexed slices here, so a
-// view read does zero hashing and zero Canon calls.
+// once per Runner/ChannelRunner and shared by every run on it. Inputs
+// and labels are edge-id tables from the start, so freezing checks
+// their lengths and shares them, and a view read does zero hashing and
+// zero Canon calls.
 type frozenInstance struct {
 	g *graph.Graph
 	n int
 	// nodeIn aliases Instance.NodeInput.
 	nodeIn []any
-	// edgeIn[eid] is the shared input of edge eid (EdgeInput densified).
+	// edgeIn[eid] is the shared input of edge eid: Instance.EdgeInput,
+	// or an all-nil table when the instance has none. check rejects any
+	// other length.
 	edgeIn []any
 	// ports[v] aliases g.Neighbors(v); portEID[v] aliases g.PortEdgeIDs(v).
 	ports   [][]int
@@ -35,10 +37,6 @@ type frozenInstance struct {
 	// assignment of a round with no edge labels, so a view read never
 	// branches on "did this round label edges".
 	emptyEdges []bitio.String
-	// badEdgeInput records the first EdgeInput key that is not an edge of
-	// the graph; runs report it as an error instead of silently dropping
-	// the input.
-	badEdgeInput *graph.Edge
 }
 
 // newFrozenInstance densifies inst. Orientation (for edge-label
@@ -47,17 +45,20 @@ type frozenInstance struct {
 // graph's memoized degeneracy rank plus the port->edge-id tables, with
 // one flat backing array — no per-edge hash lookups and no per-vertex
 // slice headers, so freezing a million-node instance is a handful of
-// allocations. Only edge *inputs* (absent on bulk instances) consult
-// the by-endpoints map.
+// allocations.
 func newFrozenInstance(inst *Instance) *frozenInstance {
 	g := inst.G
 	n := g.N()
 	rank, _ := g.DegeneracyRank()
+	edgeIn := inst.EdgeInput
+	if len(edgeIn) == 0 {
+		edgeIn = make([]any, g.M())
+	}
 	fi := &frozenInstance{
 		g:          g,
 		n:          n,
 		nodeIn:     inst.NodeInput,
-		edgeIn:     make([]any, g.M()),
+		edgeIn:     edgeIn,
 		ports:      make([][]int, n),
 		portEID:    make([][]int, n),
 		portOff:    make([]int, n+1),
@@ -97,17 +98,6 @@ func newFrozenInstance(inst *Instance) *frozenInstance {
 		acc[v] = w
 	}
 	fi.accountable = acc
-	for e, in := range inst.EdgeInput {
-		id := g.EdgeID(e.U, e.V)
-		if id < 0 {
-			if fi.badEdgeInput == nil {
-				bad := e
-				fi.badEdgeInput = &bad
-			}
-			continue
-		}
-		fi.edgeIn[id] = in
-	}
 	freezeCount.Add(1)
 	return fi
 }
@@ -116,9 +106,8 @@ func newFrozenInstance(inst *Instance) *frozenInstance {
 // NewRunner/NewChannelRunner have no error return, so instance-level
 // problems surface at the first Run instead.
 func (fi *frozenInstance) check() error {
-	if fi.badEdgeInput != nil {
-		return fmt.Errorf("dip: instance edge input references edge (%d,%d) not in graph",
-			fi.badEdgeInput.U, fi.badEdgeInput.V)
+	if len(fi.edgeIn) != fi.g.M() {
+		return fmt.Errorf("dip: instance has %d edge inputs, want 0 or %d", len(fi.edgeIn), fi.g.M())
 	}
 	return nil
 }
@@ -130,28 +119,19 @@ type frozenAssignment struct {
 	edge []bitio.String // by edge id; fi.emptyEdges when the round labeled none
 }
 
-// freeze validates and densifies one prover-round assignment. Every key
-// of a.Edge must be a canonical (U < V) edge of the graph: an absent or
-// non-canonical edge would previously be skipped silently by the
-// map-lookup read path, letting an adversarial prover smuggle label
-// bits past the Stats accounting — here it is an error.
+// freeze delivers one prover-round assignment: it shares the prover's
+// tables, so a round with edge labels costs a length check. The length
+// check is the validation boundary — every entry of an M-length table
+// is a real edge, which accumulate charges to its accountable endpoint,
+// so no label bit can bypass the Stats accounting.
 func (fi *frozenInstance) freeze(a *Assignment) (frozenAssignment, error) {
-	fa := frozenAssignment{node: a.Node, edge: fi.emptyEdges}
-	if len(a.Edge) == 0 {
-		return fa, nil
+	switch len(a.Edge) {
+	case 0:
+		return frozenAssignment{node: a.Node, edge: fi.emptyEdges}, nil
+	case fi.g.M():
+		return frozenAssignment{node: a.Node, edge: a.Edge}, nil
 	}
-	fa.edge = make([]bitio.String, fi.g.M())
-	for e, lab := range a.Edge {
-		if e.U > e.V {
-			return fa, fmt.Errorf("dip: assignment labels non-canonical edge (%d,%d); use graph.Canon", e.U, e.V)
-		}
-		id := fi.g.EdgeID(e.U, e.V)
-		if id < 0 {
-			return fa, fmt.Errorf("dip: assignment labels edge (%d,%d) not in graph", e.U, e.V)
-		}
-		fa.edge[id] = lab
-	}
-	return fa, nil
+	return frozenAssignment{}, fmt.Errorf("dip: assignment has %d edge labels, want 0 or %d", len(a.Edge), fi.g.M())
 }
 
 // accumulate meters one frozen prover round into st under the

@@ -34,8 +34,10 @@ type Instance struct {
 	G *graph.Graph
 	// NodeInput[v] is the private local input of node v (may be nil).
 	NodeInput []any
-	// EdgeInput[e] is input visible to both endpoints of e (may be nil).
-	EdgeInput map[graph.Edge]any
+	// EdgeInput[id] is the input of edge id of G.Edges(), visible to
+	// both endpoints (may be nil). The table is nil when no edge has an
+	// input, and otherwise holds one entry per edge.
+	EdgeInput []any
 
 	// frozen memoizes the dense run-ready form (see Freeze): populated
 	// on the first freeze, shared by every later Runner/ChannelRunner
@@ -46,44 +48,48 @@ type Instance struct {
 
 // NewInstance wraps g with empty inputs.
 func NewInstance(g *graph.Graph) *Instance {
-	return &Instance{
-		G:         g,
-		NodeInput: make([]any, g.N()),
-		EdgeInput: make(map[graph.Edge]any),
-	}
+	return &Instance{G: g, NodeInput: make([]any, g.N())}
 }
 
 // Assignment is the label assignment of one prover round.
 type Assignment struct {
 	// Node[v] is the label given to node v (zero value = empty label).
 	Node []bitio.String
-	// Edge[e] is the label written on edge e, visible to both endpoints.
-	Edge map[graph.Edge]bitio.String
+	// Edge[id] is the label written on edge id of g.Edges(), visible to
+	// both endpoints; an empty string is no label. The table is nil when
+	// the round labels no edge, and otherwise holds one entry per edge.
+	Edge []bitio.String
 }
 
-// NewAssignment returns an empty assignment for g.
+// NewAssignment returns an empty assignment for g that labels no edge.
 func NewAssignment(g *graph.Graph) *Assignment {
-	return &Assignment{
-		Node: make([]bitio.String, g.N()),
-		Edge: make(map[graph.Edge]bitio.String),
-	}
+	return &Assignment{Node: make([]bitio.String, g.N())}
 }
 
-// NewEdgeAssignment returns an empty assignment whose Edge map is
-// presized for a label on every edge of g — the right constructor for
-// prover rounds that label all (or most) edges, avoiding incremental
-// map growth. The map form is a construction-time convenience only: the
-// engines freeze it into dense edge-id-indexed storage when the round
-// is delivered, and every key must be a canonical edge of g.
+// NewEdgeAssignment returns an empty assignment with room for a label
+// on every edge of g, indexed by edge id.
 func NewEdgeAssignment(g *graph.Graph) *Assignment {
 	return &Assignment{
 		Node: make([]bitio.String, g.N()),
-		Edge: make(map[graph.Edge]bitio.String, g.M()),
+		Edge: make([]bitio.String, g.M()),
 	}
 }
 
+// LabelledEdges returns the number of edges a carries a label on.
+func (a *Assignment) LabelledEdges() int {
+	n := 0
+	for _, l := range a.Edge {
+		if l.Len() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Prover produces label assignments. A Prover may be honest or adversarial;
-// the engine treats both identically.
+// the engine treats both identically. The engines read a returned
+// assignment in place for the rest of the run, so a prover must not
+// modify an assignment after returning it.
 type Prover interface {
 	// Round is called once per prover round (0-based). coins[r][v] holds
 	// the public coins node v published in verifier round r, for all

@@ -58,11 +58,11 @@ func TestRunScheduleValidation(t *testing.T) {
 func TestRunDeliversLabelsAndCoins(t *testing.T) {
 	g := pathGraph(4)
 	inst := NewInstance(g)
-	a0 := NewAssignment(g)
+	a0 := NewEdgeAssignment(g)
 	for v := 0; v < 4; v++ {
 		a0.Node[v] = bitio.FromUint(uint64(v), 3)
 	}
-	a0.Edge[graph.Canon(1, 2)] = bitio.FromUint(5, 3)
+	a0.Edge[g.EdgeID(1, 2)] = bitio.FromUint(5, 3)
 	a1 := NewAssignment(g)
 	for v := 0; v < 4; v++ {
 		a1.Node[v] = bitio.FromUint(uint64(10+v), 5)
@@ -123,9 +123,9 @@ func TestRunDeliversLabelsAndCoins(t *testing.T) {
 func TestStatsChargeEdgeLabelsToAccountableEndpoint(t *testing.T) {
 	g := pathGraph(3)
 	inst := NewInstance(g)
-	a := NewAssignment(g)
-	a.Edge[graph.Canon(0, 1)] = bitio.FromUint(1, 7)
-	a.Edge[graph.Canon(1, 2)] = bitio.FromUint(1, 7)
+	a := NewEdgeAssignment(g)
+	a.Edge[g.EdgeID(0, 1)] = bitio.FromUint(1, 7)
+	a.Edge[g.EdgeID(1, 2)] = bitio.FromUint(1, 7)
 	r := NewRunner(inst)
 	res, err := r.Run(&fixedProver{assigns: []*Assignment{a}},
 		echoVerifier{decide: func(*View) bool { return true }}, 1, 0, rand.New(rand.NewSource(3)))
@@ -203,11 +203,11 @@ func TestChannelRunnerMatchesRunner(t *testing.T) {
 	g.MustAddEdge(0, 3)
 	g.MustAddEdge(2, 5)
 	inst := NewInstance(g)
-	a0 := NewAssignment(g)
+	a0 := NewEdgeAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		a0.Node[v] = bitio.FromUint(uint64(v), 4)
 	}
-	a0.Edge[graph.Canon(0, 3)] = bitio.FromUint(9, 4)
+	a0.Edge[g.EdgeID(0, 3)] = bitio.FromUint(9, 4)
 	a1 := NewAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		a1.Node[v] = bitio.FromUint(uint64(v*3%16), 4)

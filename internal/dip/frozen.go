@@ -33,8 +33,8 @@ type Frozen struct {
 
 // Freeze returns the frozen form of inst, memoized on the instance:
 // the first call densifies, every later call returns the same handle.
-// Instance-level input errors (edge inputs naming absent edges)
-// surface here instead of at the first Run.
+// Instance-level input errors (an edge-input table whose length is
+// neither 0 nor the edge count) surface here instead of at the first Run.
 func Freeze(inst *Instance) (*Frozen, error) {
 	f := inst.freeze()
 	if err := f.fi.check(); err != nil {
@@ -50,7 +50,7 @@ func (f *Frozen) Instance() *Instance { return f.inst }
 func (f *Frozen) N() int { return f.fi.n }
 
 // M returns the edge count.
-func (f *Frozen) M() int { return len(f.fi.edgeIn) }
+func (f *Frozen) M() int { return f.fi.g.M() }
 
 // NewRunnerFrozen prepares an orchestrated-engine execution environment
 // sharing f. Unlike NewRunner it performs no densification work at all;

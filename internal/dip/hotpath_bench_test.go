@@ -56,8 +56,8 @@ func hotPathFixture(rows, cols, proverRounds int) (*Instance, *fixedProver) {
 		for v := 0; v < g.N(); v++ {
 			a.Node[v] = bitio.FromUint(uint64(v%256), 8)
 		}
-		for _, e := range g.Edges() {
-			a.Edge[e] = bitio.FromUint(uint64((e.U+e.V)%16), 4)
+		for id, e := range g.Edges() {
+			a.Edge[id] = bitio.FromUint(uint64((e.U+e.V)%16), 4)
 		}
 		assigns[pr] = a
 	}

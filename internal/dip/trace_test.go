@@ -15,11 +15,11 @@ import (
 
 // traceProto builds a small fixed 2P/1V protocol on a path.
 func traceProto(g *graph.Graph) (Prover, Verifier) {
-	a0 := NewAssignment(g)
+	a0 := NewEdgeAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		a0.Node[v] = bitio.FromUint(uint64(v%8), 3)
 	}
-	a0.Edge[graph.Canon(0, 1)] = bitio.FromUint(3, 2)
+	a0.Edge[g.EdgeID(0, 1)] = bitio.FromUint(3, 2)
 	a1 := NewAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		a1.Node[v] = bitio.FromUint(uint64(v%32), 5)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/bitio"
 	"repro/internal/dip"
 	"repro/internal/graph"
 	"repro/internal/pathouter"
@@ -175,23 +176,33 @@ func checkCorners(g *graph.Graph, rot *planar.Rotation, tree *graph.Tree, red *R
 	a1 := hRes.Transcript.Assignments[0]
 	a2 := hRes.Transcript.Assignments[1]
 
-	// Decode each chord of h once.
-	chordAt := make(map[graph.Edge]*chord, len(a1.Edge))
-	for e := range a1.Edge {
-		r1, err := pathouter.DecodeRound1Edge(a1.Edge[e], pp)
+	// Decode each labelled chord of h once, by its edge id in h.
+	h := red.H
+	chords := make([]chord, h.M())
+	for id, lab := range a1.Edge {
+		if lab.Len() == 0 {
+			continue
+		}
+		r1, err := pathouter.DecodeRound1Edge(lab, pp)
 		if err != nil {
 			return false
 		}
-		r2, err := pathouter.DecodeRound2Edge(a2.Edge[e], pp)
+		var lab2 bitio.String
+		if len(a2.Edge) > 0 {
+			lab2 = a2.Edge[id]
+		}
+		r2, err := pathouter.DecodeRound2Edge(lab2, pp)
 		if err != nil {
 			return false
 		}
+		e := h.Edges()[id]
 		tail := e.V
 		if r1.TailIsCanonU {
 			tail = e.U
 		}
-		chordAt[e] = &chord{name: r2.Name, succ: r2.Succ, tail: tail}
+		chords[id] = chord{name: r2.Name, succ: r2.Succ, tail: tail, labelled: true}
 	}
+	byReal := make([]int, g.N())
 
 	for v := 0; v < g.N(); v++ {
 		deg := g.Degree(v)
@@ -219,13 +230,13 @@ func checkCorners(g *graph.Graph, rot *planar.Rotation, tree *graph.Tree, red *R
 				corner = append(corner, u)
 				continue
 			}
-			if !checkOneCorner(red, v, cornerCopy, corner, chordAt) {
+			if !checkOneCorner(red, cornerCopy, corner, chords, byReal) {
 				return false
 			}
 			corner = corner[:0]
 			cornerCopy = copyAfterTreeEdge(red, tree, v, u)
 		}
-		if !checkOneCorner(red, v, cornerCopy, corner, chordAt) {
+		if !checkOneCorner(red, cornerCopy, corner, chords, byReal) {
 			return false
 		}
 	}
@@ -235,7 +246,8 @@ func checkCorners(g *graph.Graph, rot *planar.Rotation, tree *graph.Tree, red *R
 // chord is a decoded non-path edge of h.
 type chord struct {
 	name, succ pathouter.Name
-	tail       int // copy id of the tail (leftward endpoint claim)
+	tail       int  // copy id of the tail (leftward endpoint claim)
+	labelled   bool // the edge carries a round-1 label
 }
 
 func isTreeEdge(tree *graph.Tree, a, b int) bool {
@@ -260,62 +272,59 @@ func copyAfterTreeEdge(red *Reduction, tree *graph.Tree, v, t int) int {
 }
 
 // checkOneCorner validates the rotation-order chord sequence of one
-// corner against the committed nesting: left chords (whose head is this
-// copy) come first, innermost first; then right chords (whose tail is
-// this copy), outermost first; consecutive chords on each side must be
-// linked by succ(inner) = name(outer).
-func checkOneCorner(red *Reduction, v, copyID int, nbrs []int, chordAt map[graph.Edge]*chord) bool {
+// corner, hosted at copy copyID, against the committed nesting: left
+// chords (whose head is this copy) come first, innermost first; then
+// right chords (whose tail is this copy), outermost first; consecutive
+// chords on each side must be linked by succ(inner) = name(outer).
+// chords holds h's decoded edges by id; byReal is an all-zero scratch
+// index over the real vertices, left all-zero on return.
+func checkOneCorner(red *Reduction, copyID int, nbrs []int, chords []chord, byReal []int) bool {
 	if len(nbrs) == 0 {
 		return true
 	}
 	if copyID < 0 {
 		return false
 	}
-	var seq []*chord
+	// The chord of (v,u) in h joins this copy to some copy of u. Path
+	// edges join only copies of tree-adjacent vertices and G is simple,
+	// so at most one labelled h-edge joins this copy to a copy of a
+	// non-tree neighbour u: index the copy's labelled ports by the real
+	// vertex at their far end, as 1 + the edge id.
+	ports, eids := red.H.Neighbors(copyID), red.H.PortEdgeIDs(copyID)
+	for p, cu := range ports {
+		if chords[eids[p]].labelled {
+			byReal[red.CopyOf[cu]] = eids[p] + 1
+		}
+	}
+	ok := true
+	var prev *chord
 	for _, u := range nbrs {
-		// The chord of (v,u) in h attaches at some copies; find the edge
-		// in h between a copy of v and a copy of u. The reduction placed
-		// it between specific copies, so scan u's copies.
-		var found *chord
-		for _, cu := range red.Copies[u] {
-			e := graph.Canon(copyID, cu)
-			if c, ok := chordAt[e]; ok {
-				found = c
-				break
-			}
+		id := byReal[u] - 1
+		if id < 0 {
+			ok = false // chord not attached at this corner's copy
+			break
 		}
-		if found == nil {
-			return false // chord not attached at this corner's copy
+		c := &chords[id]
+		switch right := c.tail == copyID; {
+		case prev == nil:
+		case prev.tail == copyID && !right:
+			ok = false // interleaved directions
+		case prev.tail == copyID:
+			// Right chords run outermost first: prev is directly above c.
+			ok = nameEq(c.succ, prev.name)
+		case !right:
+			// Left chords run innermost first: c is directly above prev.
+			ok = nameEq(prev.succ, c.name)
 		}
-		seq = append(seq, found)
-	}
-	// Split into the left run then the right run.
-	split := 0
-	for split < len(seq) && seq[split].tail != copyID {
-		split++
-	}
-	for j := split; j < len(seq); j++ {
-		if seq[j].tail != copyID {
-			return false // interleaved directions
+		if !ok {
+			break
 		}
+		prev = c
 	}
-	left := seq[:split]
-	right := seq[split:]
-	for j := 0; j+1 < len(left); j++ {
-		// Left chords run innermost first: left[j+1] is directly above
-		// left[j].
-		if !nameEq(left[j].succ, left[j+1].name) {
-			return false
-		}
+	for _, cu := range ports {
+		byReal[red.CopyOf[cu]] = 0
 	}
-	for j := 0; j+1 < len(right); j++ {
-		// Right chords run outermost first: right[j] is directly above
-		// right[j+1].
-		if !nameEq(right[j+1].succ, right[j].name) {
-			return false
-		}
-	}
-	return true
+	return ok
 }
 
 func nameEq(a, b pathouter.Name) bool {

@@ -1,59 +1,26 @@
 package lrsort
 
-import (
-	"repro/internal/bitio"
-	"repro/internal/dip"
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // InnerBlockLiar is the canonical LR-sorting adversary: it follows the
 // honest strategy except that every backward outer-block edge is
-// relabeled as inner-block, betting on an r_b nonce collision between
-// the two blocks (probability 1/p0 per edge). It is the measured face of
-// the protocol's 1/polylog n soundness and the knob the soundness-
-// exponent ablation turns.
-type InnerBlockLiar struct {
-	p    Params
-	inst *Instance
-	h    *Honest
-}
+// relabeled as inner-block in round 1, betting on an r_b nonce
+// collision between the two blocks (probability 1/p0 per edge). Later
+// rounds ride on the honest machinery: the reclassified edges
+// contribute nothing to the C multisets, matching the lie. It is the
+// measured face of the protocol's 1/polylog n soundness and the knob
+// the soundness-exponent ablation turns.
+type InnerBlockLiar struct{ engineProver }
 
 // NewInnerBlockLiar builds the adversary for a (no-)instance.
 func NewInnerBlockLiar(p Params, inst *Instance) *InnerBlockLiar {
-	return &InnerBlockLiar{p: p, inst: inst}
-}
-
-// Round implements dip.Prover.
-func (il *InnerBlockLiar) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
-	if round == 0 {
-		h, err := NewHonest(il.p, il.inst)
-		if err != nil {
-			return nil, err
-		}
-		il.h = h
-		h.Round1()
-		// Reclassify backward outer edges as inner.
-		for _, de := range il.inst.Edges {
-			bu := il.p.BlockOf(il.inst.Pos[de.Tail])
-			bv := il.p.BlockOf(il.inst.Pos[de.Head])
-			if bu > bv {
-				e := graph.Canon(de.Tail, de.Head)
-				h.R1Edge[e] = Round1Edge{Inner: true}
+	return &InnerBlockLiar{engineProver{p: p, inst: inst, lie: func(h *Honest) {
+		for i, de := range inst.Edges {
+			if p.BlockOf(inst.Pos[de.Tail]) > p.BlockOf(inst.Pos[de.Head]) {
+				h.R1Edge[i] = Round1Edge{Inner: true}
 			}
 		}
-		a := dip.NewAssignment(il.inst.G)
-		for v := 0; v < il.inst.G.N(); v++ {
-			a.Node[v] = h.R1Node[v].Encode(il.p)
-		}
-		for e, l := range h.R1Edge {
-			a.Edge[e] = l.Encode(il.p)
-		}
-		return a, nil
-	}
-	// Later rounds ride on the honest machinery (the reclassified edges
-	// contribute nothing to the C multisets, matching the lie).
-	ep := &engineProver{p: il.p, inst: il.inst, h: il.h}
-	return ep.Round(round, coins)
+	}}}
 }
 
 // BackwardEdgeInstance crafts the no-instance the liar is strongest on:

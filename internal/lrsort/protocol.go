@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/dip"
-	"repro/internal/graph"
 )
 
 // EdgeInput is the shared local input of one edge: whether it belongs to
@@ -18,21 +17,26 @@ type EdgeInput struct {
 }
 
 // NewDIPInstance converts an LR-sorting instance into an engine instance:
-// the path and the edge orientations become shared edge inputs.
+// the path and the edge orientations become shared edge inputs. A pair
+// that is not an edge of G gets no input; the prover reports it.
 func NewDIPInstance(inst *Instance) *dip.Instance {
-	di := dip.NewInstance(inst.G)
-	n := inst.G.N()
+	g := inst.G
+	di := dip.NewInstance(g)
+	di.EdgeInput = make([]any, g.M())
+	n := g.N()
 	at := make([]int, n)
 	for v, q := range inst.Pos {
 		at[q] = v
 	}
 	for q := 0; q+1 < n; q++ {
-		e := graph.Canon(at[q], at[q+1])
-		di.EdgeInput[e] = EdgeInput{OnPath: true, FromU: e.U == at[q]}
+		if id := g.EdgeID(at[q], at[q+1]); id >= 0 {
+			di.EdgeInput[id] = EdgeInput{OnPath: true, FromU: at[q] < at[q+1]}
+		}
 	}
 	for _, de := range inst.Edges {
-		e := graph.Canon(de.Tail, de.Head)
-		di.EdgeInput[e] = EdgeInput{OnPath: false, FromU: e.U == de.Tail}
+		if id := g.EdgeID(de.Tail, de.Head); id >= 0 {
+			di.EdgeInput[id] = EdgeInput{OnPath: false, FromU: de.Tail < de.Head}
+		}
 	}
 	return di
 }
@@ -53,6 +57,9 @@ type engineProver struct {
 	p    Params
 	inst *Instance
 	h    *Honest
+	ids  []int // edge id of each directed edge
+	// lie, when set, rewrites the round-1 products before they are sent.
+	lie func(h *Honest)
 }
 
 func (ep *engineProver) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
@@ -63,14 +70,22 @@ func (ep *engineProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 		if err != nil {
 			return nil, err
 		}
-		ep.h = h
+		ep.h, ep.ids = h, make([]int, len(ep.inst.Edges))
+		for i, de := range ep.inst.Edges {
+			if ep.ids[i] = g.EdgeID(de.Tail, de.Head); ep.ids[i] < 0 {
+				return nil, fmt.Errorf("lrsort: edge (%d,%d) not in graph", de.Tail, de.Head)
+			}
+		}
 		h.Round1()
+		if ep.lie != nil {
+			ep.lie(h)
+		}
 		a := dip.NewEdgeAssignment(g)
 		for v := 0; v < g.N(); v++ {
 			a.Node[v] = h.R1Node[v].Encode(ep.p)
 		}
-		for e, l := range h.R1Edge {
-			a.Edge[e] = l.Encode(ep.p)
+		for i, l := range h.R1Edge {
+			a.Edge[ep.ids[i]] = l.Encode(ep.p)
 		}
 		return a, nil
 	case 1:
@@ -90,8 +105,10 @@ func (ep *engineProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 		for v := 0; v < g.N(); v++ {
 			a.Node[v] = ep.h.R2Node[v].Encode(ep.p)
 		}
-		for e, l := range ep.h.R2Edge {
-			a.Edge[e] = l.Encode(ep.p)
+		for i, l := range ep.h.R2Edge {
+			if !ep.h.R1Edge[i].Inner {
+				a.Edge[ep.ids[i]] = l.Encode(ep.p)
+			}
 		}
 		return a, nil
 	case 2:

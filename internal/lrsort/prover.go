@@ -29,13 +29,14 @@ type Honest struct {
 	Inst *Instance
 	at   []int // at[pos] = vertex
 
-	// Round 1 products.
+	// Round 1 products; R1Edge[i] belongs to Inst.Edges[i].
 	R1Node []Round1Node
-	R1Edge map[graph.Edge]Round1Edge
+	R1Edge []Round1Edge
 
-	// Round 2 products (after coins r, r', r_b).
+	// Round 2 products (after coins r, r', r_b); R2Edge[i] belongs to
+	// Inst.Edges[i] and is the zero value for inner edges.
 	R2Node []Round2Node
-	R2Edge map[graph.Edge]Round2Edge
+	R2Edge []Round2Edge
 
 	// Round 3 products (after coins z0, z1).
 	R3Node []Round3Node
@@ -87,7 +88,7 @@ func (h *Honest) Round1() {
 	p := h.P
 	n := h.Inst.G.N()
 	h.R1Node = make([]Round1Node, n)
-	h.R1Edge = make(map[graph.Edge]Round1Edge, len(h.Inst.Edges))
+	h.R1Edge = make([]Round1Edge, len(h.Inst.Edges))
 
 	// Per-node structure.
 	for v := 0; v < n; v++ {
@@ -123,16 +124,15 @@ func (h *Honest) Round1() {
 		inIdx[v] = map[int]bool{}
 		outIdx[v] = map[int]bool{}
 	}
-	for _, e := range h.Inst.Edges {
+	for k, e := range h.Inst.Edges {
 		bu := p.BlockOf(h.Inst.Pos[e.Tail])
 		bv := p.BlockOf(h.Inst.Pos[e.Head])
-		ge := graph.Canon(e.Tail, e.Head)
 		if bu == bv {
-			h.R1Edge[ge] = Round1Edge{Inner: true}
+			h.R1Edge[k] = Round1Edge{Inner: true}
 			continue
 		}
 		i := distinguishingIndex(p, uint64(bu), uint64(bv))
-		h.R1Edge[ge] = Round1Edge{Index: i}
+		h.R1Edge[k] = Round1Edge{Index: i}
 		if !outIdx[e.Tail][i] {
 			outIdx[e.Tail][i] = true
 			mult[key{bu, i, 0}]++
@@ -187,7 +187,7 @@ func (h *Honest) Round2(coins []CoinsV1) {
 	rp := coins[head].RP
 	h.rp = rp
 	h.R2Node = make([]Round2Node, n)
-	h.R2Edge = make(map[graph.Edge]Round2Edge, len(h.R1Edge))
+	h.R2Edge = make([]Round2Edge, len(h.R1Edge))
 	h.prefPos = make([]uint64, n)
 	h.inPairs = make([][]pair, n)
 	h.outPairs = make([][]pair, n)
@@ -237,24 +237,22 @@ func (h *Honest) Round2(coins []CoinsV1) {
 	}
 
 	// Outer-edge commitments: phi^{b_tail}_{i-1}(r').
-	for _, e := range h.Inst.Edges {
-		ge := graph.Canon(e.Tail, e.Head)
-		r1 := h.R1Edge[ge]
+	for k, e := range h.Inst.Edges {
+		r1 := h.R1Edge[k]
 		if r1.Inner {
 			continue
 		}
 		b := p.BlockOf(h.Inst.Pos[e.Tail])
-		h.R2Edge[ge] = Round2Edge{JVal: h.prefixPhi(uint64(b), r1.Index-1)}
+		h.R2Edge[k] = Round2Edge{JVal: h.prefixPhi(uint64(b), r1.Index-1)}
 	}
 
 	// Deduplicated C pairs per node, now that j-values exist.
-	for _, e := range h.Inst.Edges {
-		ge := graph.Canon(e.Tail, e.Head)
-		r1 := h.R1Edge[ge]
+	for k, e := range h.Inst.Edges {
+		r1 := h.R1Edge[k]
 		if r1.Inner {
 			continue
 		}
-		pr := pair{i: r1.Index, j: h.R2Edge[ge].JVal}
+		pr := pair{i: r1.Index, j: h.R2Edge[k].JVal}
 		h.outPairs[e.Tail] = addPair(h.outPairs[e.Tail], pr)
 		h.inPairs[e.Head] = addPair(h.inPairs[e.Head], pr)
 	}

@@ -19,8 +19,8 @@ import (
 type markLiar struct {
 	inner *Honest
 	p     Params
-	// the two edges at the victim node, canonical form
-	longest, shorter graph.Edge
+	// the ids of the two edges at the victim node
+	longest, shorter int
 }
 
 func (ml *markLiar) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
@@ -103,7 +103,7 @@ func TestSoundnessLongestMarkLie(t *testing.T) {
 
 // findTwoRightChords locates a vertex with >= 2 rightward chords and
 // returns its longest and a shorter one.
-func findTwoRightChords(inst *Instance) (victim int, longest, shorter graph.Edge) {
+func findTwoRightChords(inst *Instance) (victim, longest, shorter int) {
 	n := inst.G.N()
 	for v := 0; v < n; v++ {
 		var heads []int
@@ -125,9 +125,9 @@ func findTwoRightChords(inst *Instance) (victim int, longest, shorter graph.Edge
 				second = u
 			}
 		}
-		return v, graph.Canon(v, best), graph.Canon(v, second)
+		return v, inst.G.EdgeID(v, best), inst.G.EdgeID(v, second)
 	}
-	return -1, graph.Edge{}, graph.Edge{}
+	return -1, -1, -1
 }
 
 // garbageProver feeds syntactically invalid labels: the verifier must
@@ -138,7 +138,7 @@ type garbageProver struct {
 }
 
 func (gp *garbageProver) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
-	a := dip.NewAssignment(gp.g)
+	a := dip.NewEdgeAssignment(gp.g)
 	for v := 0; v < gp.g.N(); v++ {
 		var w bitio.Writer
 		bits := gp.rng.Intn(64)
@@ -147,9 +147,9 @@ func (gp *garbageProver) Round(round int, coins [][]bitio.String) (*dip.Assignme
 		}
 		a.Node[v] = w.String()
 	}
-	for _, e := range gp.g.Edges() {
+	for id := range a.Edge {
 		if gp.rng.Intn(2) == 0 {
-			a.Edge[e] = bitio.FromUint(uint64(gp.rng.Intn(255)), 8)
+			a.Edge[id] = bitio.FromUint(uint64(gp.rng.Intn(255)), 8)
 		}
 	}
 	return a, nil

@@ -1,9 +1,10 @@
 package pathouter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/dip"
@@ -26,16 +27,20 @@ type Honest struct {
 	P    Params
 	Inst *Instance
 
-	at       []int
-	parent   []int
+	at     []int
+	parent []int
+	// dirEdges lists the chords (the non-path edges) in edge-id order,
+	// directed left to right; chordID[i] is chord i's edge id in G.
 	dirEdges []lrsort.DirectedEdge
+	chordID  []int
 	lr       *lrsort.Honest
 	// r1 is the round-1 assignment, computed by NewHonest: it depends
 	// on no coin, so a fork shares it.
 	r1 *dip.Assignment
-	// Interval structure of non-path edges, from the round-2 names.
-	succ   map[graph.Edge]Name
-	nameOf map[graph.Edge]Name
+	// Interval structure of the chords, from the round-2 names: nameOf
+	// and succ by chord index, above by vertex.
+	succ   []Name
+	nameOf []Name
 	above  []Name
 }
 
@@ -66,7 +71,8 @@ func NewHonest(p Params, inst *Instance) (*Honest, error) {
 		parent[at[q]] = at[q-1]
 	}
 	var dirs []lrsort.DirectedEdge
-	for _, e := range inst.G.Edges() {
+	var ids []int
+	for id, e := range inst.G.Edges() {
 		qu, qv := inst.Pos[e.U], inst.Pos[e.V]
 		if qu+1 == qv || qv+1 == qu {
 			continue // path edge
@@ -76,12 +82,13 @@ func NewHonest(p Params, inst *Instance) (*Honest, error) {
 		} else {
 			dirs = append(dirs, lrsort.DirectedEdge{Tail: e.V, Head: e.U})
 		}
+		ids = append(ids, id)
 	}
 	lrH, err := lrsort.NewHonest(p.LR, &lrsort.Instance{G: inst.G, Pos: inst.Pos, Edges: dirs})
 	if err != nil {
 		return nil, err
 	}
-	h := &Honest{P: p, Inst: inst, at: at, parent: parent, lr: lrH, dirEdges: dirs}
+	h := &Honest{P: p, Inst: inst, at: at, parent: parent, lr: lrH, dirEdges: dirs, chordID: ids}
 	if h.r1, err = h.round1(); err != nil {
 		return nil, err
 	}
@@ -126,16 +133,7 @@ func (h *Honest) Round(round int, coins [][]bitio.String) (*dip.Assignment, erro
 // and assignment, read-only from then on. h must not have answered any
 // coin.
 func (h *Honest) fork() *Honest {
-	return &Honest{P: h.P, Inst: h.Inst, at: h.at, parent: h.parent, dirEdges: h.dirEdges, lr: h.lr.Fork(), r1: h.r1}
-}
-
-// chordAssignment returns an empty assignment with room for a label on
-// every chord: the only edges the prover labels.
-func (h *Honest) chordAssignment() *dip.Assignment {
-	return &dip.Assignment{
-		Node: make([]bitio.String, h.Inst.G.N()),
-		Edge: make(map[graph.Edge]bitio.String, len(h.dirEdges)),
-	}
+	return &Honest{P: h.P, Inst: h.Inst, at: h.at, parent: h.parent, dirEdges: h.dirEdges, chordID: h.chordID, lr: h.lr.Fork(), r1: h.r1}
 }
 
 func (h *Honest) round1() (*dip.Assignment, error) {
@@ -147,29 +145,28 @@ func (h *Honest) round1() (*dip.Assignment, error) {
 	h.lr.Round1()
 	longTR, longHL := h.longestMarks()
 
-	a := h.chordAssignment()
+	a := dip.NewEdgeAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		a.Node[v] = Round1Node{FC: fc[v], LR: h.lr.R1Node[v]}.Encode(h.P)
 	}
-	for _, de := range h.dirEdges {
-		e := graph.Canon(de.Tail, de.Head)
-		a.Edge[e] = Round1Edge{
-			TailIsCanonU:     de.Tail == e.U,
-			LR:               h.lr.R1Edge[e],
-			LongestTailRight: longTR[e],
-			LongestHeadLeft:  longHL[e],
+	for i, de := range h.dirEdges {
+		a.Edge[h.chordID[i]] = Round1Edge{
+			TailIsCanonU:     de.Tail < de.Head,
+			LR:               h.lr.R1Edge[i],
+			LongestTailRight: longTR[i],
+			LongestHeadLeft:  longHL[i],
 		}.Encode(h.P)
 	}
 	return a, nil
 }
 
 // longestMarks derives the honest longest-edge marks of the interval
-// family: whether each chord is its tail's longest right edge and its
-// head's longest left edge.
-func (h *Honest) longestMarks() (longTR, longHL map[graph.Edge]bool) {
+// family, by chord index: whether each chord is its tail's longest
+// right edge and its head's longest left edge.
+func (h *Honest) longestMarks() (longTR, longHL []bool) {
 	pos := h.Inst.Pos
-	longTR = make(map[graph.Edge]bool, len(h.dirEdges))
-	longHL = make(map[graph.Edge]bool, len(h.dirEdges))
+	longTR = make([]bool, len(h.dirEdges))
+	longHL = make([]bool, len(h.dirEdges))
 
 	maxHead := map[int]int{} // tail -> furthest head position
 	minTail := map[int]int{} // head -> nearest-to-left tail position
@@ -181,10 +178,9 @@ func (h *Honest) longestMarks() (longTR, longHL map[graph.Edge]bool) {
 			minTail[de.Head] = pos[de.Tail]
 		}
 	}
-	for _, de := range h.dirEdges {
-		e := graph.Canon(de.Tail, de.Head)
-		longTR[e] = pos[de.Head] == maxHead[de.Tail]
-		longHL[e] = pos[de.Tail] == minTail[de.Head]
+	for i, de := range h.dirEdges {
+		longTR[i] = pos[de.Head] == maxHead[de.Tail]
+		longHL[i] = pos[de.Tail] == minTail[de.Head]
 	}
 	return longTR, longHL
 }
@@ -223,7 +219,7 @@ func (h *Honest) round2(rawCoins []bitio.String) (*dip.Assignment, error) {
 		hasLeft[de.Head] = true
 	}
 
-	a := h.chordAssignment()
+	a := dip.NewEdgeAssignment(g)
 	for v := 0; v < n; v++ {
 		a.Node[v] = Round2Node{
 			ST:            sums[v],
@@ -233,13 +229,11 @@ func (h *Honest) round2(rawCoins []bitio.String) (*dip.Assignment, error) {
 			Above:         h.above[v],
 		}.Encode(h.P)
 	}
-	for _, de := range h.dirEdges {
-		e := graph.Canon(de.Tail, de.Head)
-		lrE := h.lr.R2Edge[e] // zero value for inner edges
-		a.Edge[e] = Round2Edge{
-			LR:   lrE,
-			Name: h.nameOf[e],
-			Succ: h.succ[e],
+	for i, id := range h.chordID {
+		a.Edge[id] = Round2Edge{
+			LR:   h.lr.R2Edge[i], // zero value for inner edges
+			Name: h.nameOf[i],
+			Succ: h.succ[i],
 		}.Encode(h.P)
 	}
 	return a, nil
@@ -250,8 +244,8 @@ func (h *Honest) round2(rawCoins []bitio.String) (*dip.Assignment, error) {
 func (h *Honest) computeNames(sv []uint64) {
 	pos := h.Inst.Pos
 	n := len(pos)
-	h.nameOf = make(map[graph.Edge]Name, len(h.dirEdges))
-	h.succ = make(map[graph.Edge]Name, len(h.dirEdges))
+	h.nameOf = make([]Name, len(h.dirEdges))
+	h.succ = make([]Name, len(h.dirEdges))
 	h.above = make([]Name, n)
 	for v := range h.above {
 		h.above[v] = Name{Virtual: true}
@@ -259,22 +253,23 @@ func (h *Honest) computeNames(sv []uint64) {
 
 	type iv struct {
 		l, r int
-		e    graph.Edge
+		e    int // chord index
 	}
-	ivs := make([]iv, 0, len(h.dirEdges))
-	for _, de := range h.dirEdges {
-		e := graph.Canon(de.Tail, de.Head)
-		h.nameOf[e] = Name{A: sv[de.Tail], B: sv[de.Head]}
-		ivs = append(ivs, iv{l: pos[de.Tail], r: pos[de.Head], e: e})
+	ivs := make([]iv, len(h.dirEdges))
+	for i, de := range h.dirEdges {
+		h.nameOf[i] = Name{A: sv[de.Tail], B: sv[de.Head]}
+		ivs[i] = iv{l: pos[de.Tail], r: pos[de.Head], e: i}
 	}
-	opensAt := make([][]iv, n)
-	for _, i := range ivs {
-		opensAt[i.l] = append(opensAt[i.l], i)
-	}
-	for q := range opensAt {
-		sort.Slice(opensAt[q], func(a, b int) bool { return opensAt[q][a].r > opensAt[q][b].r })
-	}
+	// Sweep order: by left end, outermost first at one left end. No two
+	// chords share both ends, so the order is total.
+	slices.SortFunc(ivs, func(a, b iv) int {
+		if a.l != b.l {
+			return cmp.Compare(a.l, b.l)
+		}
+		return cmp.Compare(b.r, a.r)
+	})
 	var stack []iv
+	next := 0
 	for q := 0; q < n; q++ {
 		for len(stack) > 0 && stack[len(stack)-1].r == q {
 			stack = stack[:len(stack)-1]
@@ -284,7 +279,8 @@ func (h *Honest) computeNames(sv []uint64) {
 		if len(stack) > 0 && stack[len(stack)-1].l < q {
 			h.above[h.at[q]] = h.nameOf[stack[len(stack)-1].e]
 		}
-		for _, i := range opensAt[q] {
+		for ; next < len(ivs) && ivs[next].l == q; next++ {
+			i := ivs[next]
 			if len(stack) == 0 {
 				h.succ[i.e] = Name{Virtual: true}
 			} else {

@@ -221,7 +221,7 @@ func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 			a.Node[v] = structR1{FC: fc[v], InP1: sp.plan.EarOf[v] == 0}.encode()
 		}
 		for e, cls := range sp.plan.EdgeKind {
-			a.Edge[e] = structEdge1{Kind: cls.Kind, ConnectsCanonU: cls.ConnectsCanonU}.encode()
+			a.Edge[g.EdgeID(e.U, e.V)] = structEdge1{Kind: cls.Kind, ConnectsCanonU: cls.ConnectsCanonU}.encode()
 		}
 		return a, nil
 	case 1:
@@ -280,7 +280,7 @@ func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 			if host >= 0 {
 				hr = earR[host]
 			}
-			a.Edge[e] = structEdge2{HostR: hr}.encode(sp.p)
+			a.Edge[g.EdgeID(e.U, e.V)] = structEdge2{HostR: hr}.encode(sp.p)
 		}
 		return a, nil
 	}

@@ -191,20 +191,11 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 				"item %d: unknown protocol %q (have %s)", i, req.Protocol, protocol.NameList())
 			return
 		}
-		inst, err := BuildInstance(&req)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "item %d: bad instance: %v", i, err)
+		inst := s.admitBuilt(w, r, fmt.Sprintf("item %d: ", i), &req)
+		if inst == nil {
 			return
 		}
 		g := inst.G
-		if g.N() > s.cfg.MaxNodes || g.M() > s.cfg.MaxEdges {
-			s.fail(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				"item %d: instance too large: n=%d m=%d (limits n<=%d m<=%d)",
-				i, g.N(), g.M(), s.cfg.MaxNodes, s.cfg.MaxEdges)
-			return
-		}
-		inst = s.internInstance(inst)
-		g = inst.G
 		s.reg.Add("requests_total{protocol="+req.Protocol+"}", 1)
 		key := CanonicalKey(req.Protocol, req.Seed, g.N(), g.Edges(), inst.PathPos, inst.Rotation)
 		items[i] = batch.Item[*Response]{

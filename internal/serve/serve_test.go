@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,6 +187,62 @@ func TestCertifyInstanceTooLarge(t *testing.T) {
 	resp, _ := postCertify(t, ts, `{"protocol":"pathouter","gen":{"family":"pathouter","n":64,"seed":1}}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestOversizeSpecRefusedBeforeGeneration: a gen spec that declares
+// more nodes than MaxNodes is refused with 413 on both certify routes
+// before its generator runs, so nothing reaches the intern cache.
+func TestOversizeSpecRefusedBeforeGeneration(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxNodes: 8})
+	spec := `{"protocol":"pathouter","gen":{"family":"pathouter","n":64,"seed":1}}`
+	resp, err := http.Post(ts.URL+"/v1/certify", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/v1/certify: status %d, want 413", resp.StatusCode)
+	}
+	if resp, _ := postBatch(t, ts, "", `{"items":[`+spec+`]}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/v1/certify/batch: status %d, want 413", resp.StatusCode)
+	}
+	if misses := s.Registry().Get("instance_cache_misses_total"); misses != 0 {
+		t.Fatalf("instance_cache_misses_total = %d, want 0", misses)
+	}
+}
+
+// TestOversizeInlineItemRefusedBeforeBuilding: a batch item whose
+// inline graph declares far more nodes than MaxNodes is refused before
+// a graph of that size is allocated, so a small body cannot make the
+// server allocate by its declared n.
+func TestOversizeInlineItemRefusedBeforeBuilding(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxNodes: 8})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, _ := postBatch(t, ts, "", `{"items":[{"protocol":"planarity","graph":{"n":4194304,"edges":[[0,1]]}}]}`)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	// A graph of 2^22 vertices costs 2^22 adjacency and port slices,
+	// about 200 MB; the refusal itself allocates a few kilobytes.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Fatalf("refusing the item allocated %d bytes", got)
+	}
+}
+
+// TestOverbuiltSpecRefusedBeforeInterning: a family may build more
+// vertices than its spec declares — the grid at n = 5 builds 6. The
+// built instance is size-checked before it is interned.
+func TestOverbuiltSpecRefusedBeforeInterning(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxNodes: 5})
+	resp, _ := postCertify(t, ts, `{"protocol":"planarity","gen":{"family":"grid","n":5,"seed":1}}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if n := s.instances.Len(); n != 0 {
+		t.Fatalf("intern cache holds %d instances, want 0", n)
 	}
 }
 

@@ -547,6 +547,46 @@ func (s *Server) internInstance(inst *Instance) *Instance {
 	return interned
 }
 
+// tooLarge refuses, with 413, an instance of n nodes and m edges over
+// the configured limits. prefix names the batch item, if any.
+func (s *Server) tooLarge(w http.ResponseWriter, r *http.Request, prefix string, n, m int) bool {
+	if n <= s.cfg.MaxNodes && m <= s.cfg.MaxEdges {
+		return false
+	}
+	s.fail(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
+		"%sinstance too large: n=%d m=%d (limits n<=%d m<=%d)", prefix, n, m, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	return true
+}
+
+// admitBuilt builds, size-checks and interns the instance of req, or
+// refuses it and returns nil. A request that declares more than
+// MaxNodes is refused before anything is allocated for its graph or its
+// generator runs; some families build more vertices than asked, so the
+// built instance is checked too.
+func (s *Server) admitBuilt(w http.ResponseWriter, r *http.Request, prefix string, req *Request) *Instance {
+	declared := 0
+	if req.Gen != nil {
+		declared = req.Gen.N
+	}
+	if req.Graph != nil {
+		declared = req.Graph.N
+	}
+	if declared > s.cfg.MaxNodes {
+		s.fail(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			"%sinstance too large: declared n=%d (limit n<=%d)", prefix, declared, s.cfg.MaxNodes)
+		return nil
+	}
+	inst, err := BuildInstance(req)
+	if err != nil {
+		s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "%sbad instance: %v", prefix, err)
+		return nil
+	}
+	if s.tooLarge(w, r, prefix, inst.G.N(), inst.G.M()) {
+		return nil
+	}
+	return s.internInstance(inst)
+}
+
 // checkPermutation verifies pos is a permutation of 0..n-1.
 func checkPermutation(pos []int, n int) error {
 	if len(pos) != n {
@@ -586,7 +626,6 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	// (and the error cases buildInstance diagnoses) materialize up front
 	// as before: the generator has to run to know the instance.
 	var inst *Instance
-	var nodes, edges int
 	var key RequestKey
 	if req.Graph != nil && req.Gen == nil {
 		gj := req.Graph
@@ -605,25 +644,18 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		nodes, edges = gj.N, len(canon)
-		key = keyFromCanon(req.Protocol, req.Seed, gj.N, canon, req.WitnessPos, nil)
-	} else {
-		built, err := BuildInstance(&req)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad instance: %v", err)
+		if s.tooLarge(w, r, "", gj.N, len(canon)) {
 			return
 		}
-		inst = s.internInstance(built)
+		key = keyFromCanon(req.Protocol, req.Seed, gj.N, canon, req.WitnessPos, nil)
+	} else {
+		if inst = s.admitBuilt(w, r, "", &req); inst == nil {
+			return
+		}
 		g := inst.G
-		nodes, edges = g.N(), g.M()
 		// The effective witnesses (explicit or generator-supplied) are
 		// part of the request identity: they change what the prover sends.
 		key = CanonicalKey(req.Protocol, req.Seed, g.N(), g.Edges(), inst.PathPos, inst.Rotation)
-	}
-	if nodes > s.cfg.MaxNodes || edges > s.cfg.MaxEdges {
-		s.fail(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"instance too large: n=%d m=%d (limits n<=%d m<=%d)", nodes, edges, s.cfg.MaxNodes, s.cfg.MaxEdges)
-		return
 	}
 	if h, ok := s.protoCount[req.Protocol]; ok {
 		h.Add(1)

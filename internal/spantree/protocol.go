@@ -19,13 +19,16 @@ type EdgeInput struct {
 }
 
 // NewInstance wraps g and the candidate edge set T into a DIP instance.
+// Every edge of T must be an edge of g; an edge without input is off T.
 func NewInstance(g *graph.Graph, treeEdges []graph.Edge) *dip.Instance {
 	inst := dip.NewInstance(g)
-	for _, e := range g.Edges() {
-		inst.EdgeInput[e] = EdgeInput{OnTree: false}
-	}
+	inst.EdgeInput = make([]any, g.M())
 	for _, e := range treeEdges {
-		inst.EdgeInput[graph.Canon(e.U, e.V)] = EdgeInput{OnTree: true}
+		id := g.EdgeID(e.U, e.V)
+		if id < 0 {
+			panic(fmt.Sprintf("spantree: tree edge (%d,%d) not in graph", e.U, e.V))
+		}
+		inst.EdgeInput[id] = EdgeInput{OnTree: true}
 	}
 	return inst
 }
@@ -125,6 +128,9 @@ func (pr *Prepared) Round(round int, coins [][]bitio.String) (*dip.Assignment, e
 // broken arbitrarily by BFS, leaving extra roots).
 func treeParents(inst *dip.Instance) ([]int, error) {
 	g := inst.G
+	if len(inst.EdgeInput) != g.M() {
+		return nil, errors.New("spantree: instance carries no tree input")
+	}
 	n := g.N()
 	parent := make([]int, n)
 	seen := make([]bool, n)
@@ -140,9 +146,9 @@ func treeParents(inst *dip.Instance) ([]int, error) {
 		queue := []int{start}
 		for i := 0; i < len(queue); i++ {
 			v := queue[i]
-			for _, u := range g.Neighbors(v) {
-				ei, _ := inst.EdgeInput[graph.Canon(v, u)].(EdgeInput)
-				if !ei.OnTree || seen[u] {
+			eids := g.PortEdgeIDs(v)
+			for p, u := range g.Neighbors(v) {
+				if ei, _ := inst.EdgeInput[eids[p]].(EdgeInput); !ei.OnTree || seen[u] {
 					continue
 				}
 				seen[u] = true
