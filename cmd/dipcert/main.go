@@ -122,8 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := proof.Verify(); err != nil {
 			return fail(1, "inclusion proof REJECTED: %v", err)
 		}
-		fmt.Fprintf(stdout, "  inclusion proof ok: leaf %d of batch %d, %d siblings\n",
-			proof.LeafIndex, proof.BatchIndex, len(proof.Siblings))
 
 		// Walk the root chain from the proof's batch to the head: the
 		// certificate is then anchored not just in its own batch but in
@@ -157,6 +155,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := checkChain(proof, rootz); err != nil {
 			return fail(1, "root chain REJECTED: %v", err)
 		}
+		fmt.Fprintf(stdout, "  inclusion proof ok: leaf %d of batch %d, %d siblings\n",
+			proof.LeafIndex, proof.BatchIndex, len(proof.Siblings))
 		fmt.Fprintf(stdout, "  root chain ok: batch %d anchored under head %s (%d batches)\n",
 			proof.BatchIndex, rootz.Chain, rootz.Batches)
 	}
@@ -171,8 +171,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // checkChain anchors a verified proof in the advertised chain head:
 // the record at the proof's batch must restate the proof's root and
-// chain values, every subsequent link must verify, and the last link
-// must equal the head the server (or the saved file) advertises.
+// chain values and fit its leaf index (ledger.Proof.CheckLeaf), every
+// subsequent link must verify, and the last link must equal the head
+// the server (or the saved file) advertises.
 func checkChain(proof *ledger.Proof, rootz rootzDoc) error {
 	records := rootz.Roots
 	// Tolerate a full chain dump: slice off everything before the
@@ -186,6 +187,9 @@ func checkChain(proof *ledger.Proof, rootz rootzDoc) error {
 	r0 := records[0]
 	if r0.Root != ledger.Hex(proof.Root) || r0.Chain != ledger.Hex(proof.Chain) || r0.PrevChain != ledger.Hex(proof.PrevChain) {
 		return fmt.Errorf("batch %d root record disagrees with the proof", proof.BatchIndex)
+	}
+	if err := proof.CheckLeaf(r0); err != nil {
+		return err
 	}
 	head, err := ledger.VerifyRootChain(records)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -158,5 +159,93 @@ func TestUnknownKey(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "not_found") {
 		t.Fatalf("stderr does not surface the error code: %s", stderr.String())
+	}
+}
+
+// TestRewrittenLeafIndexRejected: the inclusion proof's fold never reads
+// leaf_index, so a certificate whose leaf_index was rewritten still
+// folds to its root; -verify must catch it against the batch's root
+// record, offline and online, and must not print the index as checked.
+// The untouched certificate still verifies.
+func TestRewrittenLeafIndexRejected(t *testing.T) {
+	s, err := serve.New(serve.Config{LedgerBatchSize: 2, LedgerFlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	var key string
+	for _, body := range []string{k4Req, strings.Replace(k4Req, `"seed":7`, `"seed":8`, 1)} {
+		resp, err := http.Post(ts.URL+"/v1/certify", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out serve.Response
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("certify: status %d, %v", resp.StatusCode, err)
+		}
+		if key == "" {
+			key = out.Key // leaf 0 of the two-entry batch
+		}
+	}
+	dir := t.TempDir()
+	certFile := filepath.Join(dir, "cert.json")
+	rootsFile := filepath.Join(dir, "roots.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-addr", ts.URL, "-key", key, "-verify", "-save", certFile, "-saveroots", rootsFile}, &stdout, &stderr); code != 0 {
+		t.Fatalf("untouched certificate: exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "inclusion proof ok: leaf 0 of batch 0, 1 siblings") {
+		t.Fatalf("stdout: %s", stdout.String())
+	}
+
+	raw, err := os.ReadFile(certFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cert serve.CertificateJSON
+	if err := json.Unmarshal(raw, &cert); err != nil {
+		t.Fatal(err)
+	}
+	cert.Proof.LeafIndex = 1
+	tampered, err := json.Marshal(cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamperedFile := filepath.Join(dir, "tampered.json")
+	if err := os.WriteFile(tamperedFile, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Online through a front that serves the rewritten certificate and
+	// passes the root chain through.
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/certificates/") {
+			w.Write(tampered)
+			return
+		}
+		resp, err := http.Get(ts.URL + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer front.Close()
+	for name, args := range map[string][]string{
+		"offline": {"-cert", tamperedFile, "-roots", rootsFile, "-verify"},
+		"online":  {"-addr", front.URL, "-key", key, "-verify"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%s: rewritten leaf_index: exit %d, want 1\nstdout: %s", name, code, stdout.String())
+		}
+		if strings.Contains(stdout.String(), "inclusion proof ok") || !strings.Contains(stderr.String(), "leaf index 1") {
+			t.Fatalf("%s:\nstdout: %s\nstderr: %s", name, stdout.String(), stderr.String())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -212,5 +213,35 @@ func TestFamilySpecBuild(t *testing.T) {
 	}
 	if _, err := (FamilySpec{Family: "fanchain", N: 8, Delta: 2}).Build(rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("fanchain delta=2 accepted")
+	}
+}
+
+// TestBuildWitnessedDeterministic: one spec and one seed build the same
+// instance every time — edge order, ports, path witness and rotation.
+// The certification service relies on it to answer a repeated gen spec
+// from the instance it built the first time, without the generator.
+func TestBuildWitnessedDeterministic(t *testing.T) {
+	for _, fam := range Families() {
+		for _, n := range []int{24, 257} {
+			for seed := int64(1); seed <= 5; seed++ {
+				spec := FamilySpec{Family: fam, N: n, ChordProb: -1}
+				g1, pos1, rot1, err1 := spec.BuildWitnessed(rand.New(rand.NewSource(seed)))
+				g2, pos2, rot2, err2 := spec.BuildWitnessed(rand.New(rand.NewSource(seed)))
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s n=%d seed %d: %v, %v", fam, n, seed, err1, err2)
+				}
+				if !reflect.DeepEqual(g1.Edges(), g2.Edges()) {
+					t.Fatalf("%s n=%d seed %d: edge order differs", fam, n, seed)
+				}
+				for v := 0; v < g1.N(); v++ {
+					if !reflect.DeepEqual(g1.Neighbors(v), g2.Neighbors(v)) || !reflect.DeepEqual(g1.PortEdgeIDs(v), g2.PortEdgeIDs(v)) {
+						t.Fatalf("%s n=%d seed %d: ports of %d differ", fam, n, seed, v)
+					}
+				}
+				if !reflect.DeepEqual(pos1, pos2) || !reflect.DeepEqual(rot1, rot2) {
+					t.Fatalf("%s n=%d seed %d: witness differs", fam, n, seed)
+				}
+			}
+		}
 	}
 }

@@ -7,16 +7,17 @@ import (
 
 // FuzzInclusionProof builds a sealed batch of 1–64 entries, behind 0–3
 // earlier batches, through the ledger itself and proves one leaf. The
-// honest proof must verify, directly and after a ProofJSON round trip.
-// Then one mutation chosen by the input — an entry field, a sibling's
-// hash or side, a dropped or added step, Root, PrevChain, BatchIndex or
-// Chain — must make Verify fail whenever it changed a value. LeafIndex
-// is not a candidate: Verify never reads it (the side bits carry the
-// leaf's position), so changing it alone is not tampering.
+// honest proof must verify, directly and after a ProofJSON round trip,
+// and fit its batch's root record (CheckLeaf). Then one mutation chosen
+// by the input — an entry field, a sibling's hash or side, a dropped or
+// added step, Root, PrevChain, BatchIndex, Chain or LeafIndex — must
+// make Verify or CheckLeaf fail whenever it changed a value. Verify
+// alone never reads LeafIndex: CheckLeaf is what catches a changed one.
 func FuzzInclusionProof(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(1), uint8(0), uint64(5), "x")
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(4), uint64(1), "")
 	f.Add(uint8(63), uint8(62), uint8(3), uint8(2), uint64(1<<40), "key-0001")
+	f.Add(uint8(4), uint8(3), uint8(0), uint8(10), uint64(5), "") // leaf 3 of 5 claims leaf 4
 	f.Fuzz(func(t *testing.T, size, leaf, before, op uint8, val uint64, text string) {
 		k := 1 + int(size)%64
 		l, err := Open(NewMemStore(), Config{BatchSize: k, Now: fixedClock()})
@@ -44,15 +45,23 @@ func FuzzInclusionProof(f *testing.F) {
 		if err := back.Verify(); err != nil {
 			t.Fatalf("round-tripped proof rejected: %v", err)
 		}
+		rec := l.Roots(p.BatchIndex)[0]
+		if err := back.CheckLeaf(rec); err != nil {
+			t.Fatalf("honest proof does not fit its root record: %v", err)
+		}
 
 		q := *p
 		q.Siblings = slices.Clone(p.Siblings)
 		changed := mutateProof(&q, op, val, text)
 		if changed != proofChanged(p, &q) {
-			t.Fatalf("mutation %d reported changed=%v", op%10, changed)
+			t.Fatalf("mutation %d reported changed=%v", op%11, changed)
 		}
-		if err := q.Verify(); changed && err == nil {
-			t.Fatalf("mutation %d (val %d, text %q) left a verifying proof", op%10, val, text)
+		err = q.Verify()
+		if err == nil {
+			err = q.CheckLeaf(rec)
+		}
+		if changed && err == nil {
+			t.Fatalf("mutation %d (val %d, text %q) left a verifying proof", op%11, val, text)
 		}
 	})
 }
@@ -70,7 +79,7 @@ func mutateProof(p *Proof, op uint8, val uint64, text string) bool {
 		}
 		return int(val % n)
 	}
-	switch op % 10 {
+	switch op % 11 {
 	case 0, 1:
 		before := p.Entry
 		mutateEntry(&p.Entry, val, text)
@@ -106,6 +115,10 @@ func mutateProof(p *Proof, op uint8, val uint64, text string) bool {
 		return p.BatchIndex != old
 	case 9:
 		p.Chain[pos] ^= bit
+	case 10:
+		old := p.LeafIndex
+		p.LeafIndex = int(val%128) - 1
+		return p.LeafIndex != old
 	}
 	return true
 }
@@ -147,8 +160,8 @@ func mutateEntry(e *Entry, val uint64, text string) {
 }
 
 // proofChanged reports whether q differs from p in any field Verify
-// reads.
+// or CheckLeaf reads.
 func proofChanged(p, q *Proof) bool {
-	return p.Entry != q.Entry || p.BatchIndex != q.BatchIndex || p.Root != q.Root ||
+	return p.Entry != q.Entry || p.BatchIndex != q.BatchIndex || p.LeafIndex != q.LeafIndex || p.Root != q.Root ||
 		p.PrevChain != q.PrevChain || p.Chain != q.Chain || !slices.Equal(p.Siblings, q.Siblings)
 }

@@ -151,6 +151,39 @@ func (p *Proof) Verify() error {
 	return nil
 }
 
+// CheckLeaf checks the proof's LeafIndex against rec, the root record
+// of its batch, which Verify cannot do: the fold reads only the side
+// bits, and a one-step left proof fits leaf 4 of 5 as well as leaf 1
+// of 2. The index must lie in [0, Entries), equal the entry's position
+// Seq − FirstSeq (Seq is hashed into the leaf), and give the step
+// sides ProofFor gives for that leaf of an Entries-leaf batch.
+func (p *Proof) CheckLeaf(rec RootRecord) error {
+	if rec.Index != p.BatchIndex {
+		return fmt.Errorf("ledger: root record is for batch %d, proof for batch %d", rec.Index, p.BatchIndex)
+	}
+	if p.LeafIndex < 0 || p.LeafIndex >= rec.Entries {
+		return fmt.Errorf("ledger: leaf index %d outside batch %d of %d entries", p.LeafIndex, p.BatchIndex, rec.Entries)
+	}
+	if p.Entry.Seq < rec.FirstSeq || p.Entry.Seq-rec.FirstSeq != uint64(p.LeafIndex) {
+		return fmt.Errorf("ledger: leaf index %d does not fit entry seq %d in batch %d (first seq %d)",
+			p.LeafIndex, p.Entry.Seq, p.BatchIndex, rec.FirstSeq)
+	}
+	i, n, step := p.LeafIndex, rec.Entries, 0
+	for ; n > 1; i, n = i/2, (n+1)/2 {
+		if i^1 >= n {
+			continue // unpaired: promotes with no step, as in ProofFor
+		}
+		if step >= len(p.Siblings) || p.Siblings[step].Right != (i%2 == 0) {
+			return fmt.Errorf("ledger: proof steps do not fit leaf %d of %d", p.LeafIndex, rec.Entries)
+		}
+		step++
+	}
+	if step != len(p.Siblings) {
+		return fmt.Errorf("ledger: proof has %d steps, leaf %d of %d takes %d", len(p.Siblings), p.LeafIndex, rec.Entries, step)
+	}
+	return nil
+}
+
 // ProofStepJSON is the wire form of one proof step.
 type ProofStepJSON struct {
 	Hash  string `json:"hash"`

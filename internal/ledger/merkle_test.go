@@ -155,3 +155,31 @@ func TestVerifyRootChain(t *testing.T) {
 		t.Error("empty chain accepted")
 	}
 }
+
+// TestCheckLeafSides: for every batch size 1..17, the proof of leaf i
+// fits its root record, and claims leaf j ≠ i in vain even when the
+// entry's Seq is shifted to agree with j — the step sides ProofFor
+// gives differ from leaf to leaf of one batch.
+func TestCheckLeafSides(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		leaves := make([][32]byte, n)
+		for i := range leaves {
+			e := testEntry(i)
+			leaves[i] = e.LeafHash()
+		}
+		rec := RootRecord{Index: 0, Entries: n, FirstSeq: testEntry(0).Seq}
+		for i := 0; i < n; i++ {
+			p := Proof{Entry: testEntry(i), LeafIndex: i, Siblings: ProofFor(leaves, i)}
+			if err := p.CheckLeaf(rec); err != nil {
+				t.Fatalf("n=%d leaf %d: honest proof rejected: %v", n, i, err)
+			}
+			for j := 0; j < n; j++ {
+				q := p
+				q.LeafIndex, q.Entry.Seq = j, rec.FirstSeq+uint64(j)
+				if err := q.CheckLeaf(rec); j != i && err == nil {
+					t.Fatalf("n=%d: the proof of leaf %d fits leaf %d", n, i, j)
+				}
+			}
+		}
+	}
+}

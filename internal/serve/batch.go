@@ -191,16 +191,14 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 				"item %d: unknown protocol %q (have %s)", i, req.Protocol, protocol.NameList())
 			return
 		}
-		inst := s.admitBuilt(w, r, fmt.Sprintf("item %d: ", i), &req)
-		if inst == nil {
+		entry := s.admitBuilt(w, r, fmt.Sprintf("item %d: ", i), &req)
+		if entry == nil {
 			return
 		}
-		g := inst.G
 		s.reg.Add("requests_total{protocol="+req.Protocol+"}", 1)
-		key := CanonicalKey(req.Protocol, req.Seed, g.N(), g.Edges(), inst.PathPos, inst.Rotation)
 		items[i] = batch.Item[*Response]{
-			Class: itemClass(&req, g.N()),
-			Run:   s.certifyItem(req, inst, key),
+			Class: itemClass(&req, entry.inst.G.N()),
+			Run:   s.certifyItem(req, entry.inst, entry.requestKey(req.Protocol, req.Seed)),
 		}
 	}
 	s.recordStage(r.Context(), "admission", time.Since(start))

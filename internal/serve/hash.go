@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 
@@ -46,62 +45,69 @@ func (k RequestKey) Shard(n int) int {
 // order-invariant. Duplicate edges collapse (the graph type rejects
 // them anyway, so they cannot describe distinct instances).
 func CanonicalKey(protocol string, seed int64, n int, edges []graph.Edge, witness []int, rot *planar.Rotation) RequestKey {
+	return keyFromCanon(protocol, seed, n, canonOf(edges), witness, rot)
+}
+
+// canonOf returns edges canonicalized: each edge sorted endpoint-wise,
+// then the list sorted lexicographically.
+func canonOf(edges []graph.Edge) []graph.Edge {
 	canon := make(edgesByEndpoint, len(edges))
 	for i, e := range edges {
 		canon[i] = graph.Canon(e.U, e.V)
 	}
 	// Typed sort, not sort.Slice: the reflection-based Swapper and the
-	// comparison closure each allocate per call, which matters on the
-	// cache-hit path where key derivation is most of the work.
+	// comparison closure each allocate per call.
 	sort.Sort(canon)
-	return keyFromCanon(protocol, seed, n, canon, witness, rot)
+	return canon
 }
 
 // keyFromCanon hashes an already endpoint-canonical, lexicographically
-// sorted edge list into the RequestKey. Split out so the serve fast
-// path, which canonicalizes straight from the request's wire-form edge
-// pairs (canonEdges), derives the identical digest without a graph.Edge
-// round trip.
+// sorted edge list into the RequestKey. Split out so that callers
+// holding such a list — the inline fast path's canonEdges result, an
+// interned instance's kept list — derive the identical digest without
+// sorting again.
 func keyFromCanon(protocol string, seed int64, n int, canon []graph.Edge, witness []int, rot *planar.Rotation) RequestKey {
 	h := sha256.New()
-	// The prefix bytes match the historical fmt.Fprintf format exactly;
-	// manual appends just keep the boxing off the per-request path.
-	var pre [64]byte
-	b := append(pre[:0], "dipserve/v1|"...)
+	// The bytes hashed match the historical fmt.Fprintf prefix and
+	// per-edge writes exactly; they are gathered in a buffer so that
+	// the digest takes one Write per 4 KiB, not one per edge.
+	b := make([]byte, 0, 4096)
+	put := func(x uint64) {
+		if len(b)+8 > cap(b) {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	b = append(b, "dipserve/v1|"...)
 	b = append(b, protocol...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, seed, 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, '|')
-	h.Write(b)
-	var buf [8]byte
 	for i, e := range canon {
 		if i > 0 && e == canon[i-1] {
 			continue
 		}
-		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
-		h.Write(buf[:])
+		put(uint64(uint32(e.U)) | uint64(uint32(e.V))<<32)
 	}
 	if len(witness) > 0 {
-		io.WriteString(h, "|witness|")
+		b = append(b, "|witness|"...)
 		for _, p := range witness {
-			binary.LittleEndian.PutUint64(buf[:], uint64(p))
-			h.Write(buf[:])
+			put(uint64(p))
 		}
 	}
 	if rot != nil {
-		io.WriteString(h, "|rotation|")
+		b = append(b, "|rotation|"...)
 		for v, row := range rot.Rot {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v)|uint64(len(row))<<32)
-			h.Write(buf[:])
+			put(uint64(v) | uint64(len(row))<<32)
 			for _, u := range row {
-				binary.LittleEndian.PutUint64(buf[:], uint64(u))
-				h.Write(buf[:])
+				put(uint64(u))
 			}
 		}
 	}
+	h.Write(b)
 	var sum [sha256.Size]byte
 	var hx [32]byte
 	hex.Encode(hx[:], h.Sum(sum[:0])[:16])

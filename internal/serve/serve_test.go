@@ -29,7 +29,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postCertify(t *testing.T, ts *httptest.Server, body string) (*http.Response, *Response) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/certify", "application/json", strings.NewReader(body))
+	return postCertifyAt(t, ts, "/certify", body)
+}
+
+// postCertifyAt is postCertify against the certify route at path.
+func postCertifyAt(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, *Response) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +240,18 @@ func TestOversizeInlineItemRefusedBeforeBuilding(t *testing.T) {
 
 // TestOverbuiltSpecRefusedBeforeInterning: a family may build more
 // vertices than its spec declares — the grid at n = 5 builds 6. The
-// built instance is size-checked before it is interned.
+// built instance is size-checked before it is interned or aliased, so
+// the spec is refused every time.
 func TestOverbuiltSpecRefusedBeforeInterning(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxNodes: 5})
-	resp, _ := postCertify(t, ts, `{"protocol":"planarity","gen":{"family":"grid","n":5,"seed":1}}`)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+	for i := 0; i < 2; i++ {
+		resp, _ := postCertify(t, ts, `{"protocol":"planarity","gen":{"family":"grid","n":5,"seed":1}}`)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("request %d: status %d, want 413", i, resp.StatusCode)
+		}
 	}
-	if n := s.instances.Len(); n != 0 {
-		t.Fatalf("intern cache holds %d instances, want 0", n)
+	if n, aliases := s.instances.Len(), len(s.instances.specs); n != 0 || aliases != 0 {
+		t.Fatalf("intern cache holds %d instances and %d aliases, want 0", n, aliases)
 	}
 }
 

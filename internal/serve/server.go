@@ -162,7 +162,7 @@ func (c Config) withDefaults() Config {
 // [u, v] pairs in any order and orientation.
 type GraphJSON struct {
 	N     int      `json:"n"`
-	Edges [][2]int `json:"edges"`
+	Edges EdgeList `json:"edges"`
 }
 
 // GenSpecJSON asks the server to materialize a generator family
@@ -189,7 +189,7 @@ type Request struct {
 	// prover derives one itself, which only succeeds on biconnected
 	// outerplanar graphs and bare paths; gen-spec pathouter instances
 	// carry the generator's witness automatically.
-	WitnessPos []int `json:"witness_pos,omitempty"`
+	WitnessPos PosList `json:"witness_pos,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -532,13 +532,18 @@ func BuildInstance(req *Request) (*Instance, error) {
 
 // internInstance swaps a freshly built instance for the cached one
 // when an identical instance (same graph and witnesses, any protocol,
-// any seed) is already interned. The result cache deduplicates exact
-// request repeats; interning deduplicates the expensive part —
-// materialization and the once-per-instance dense freeze — across
-// requests that differ only in protocol or seed.
-func (s *Server) internInstance(inst *Instance) *Instance {
-	key := InstanceKey(inst.G.N(), inst.G.Edges(), inst.PathPos, inst.Rotation)
-	interned, hit := s.instances.Intern(key, inst)
+// any seed) is already interned, and makes spec, unless empty, alias
+// it. The result cache deduplicates exact request repeats; interning
+// deduplicates the expensive part — materialization and the
+// once-per-instance dense freeze — across requests that differ only in
+// protocol or seed. canon is inst.G's canonical edge list when the
+// caller has it already (canonEdges), nil to sort it here.
+func (s *Server) internInstance(inst *Instance, canon []graph.Edge, spec specKey) *instanceEntry {
+	if canon == nil {
+		canon = canonOf(inst.G.Edges())
+	}
+	key := keyFromCanon(instanceKeyProtocol, 0, inst.G.N(), canon, inst.PathPos, inst.Rotation)
+	interned, hit := s.instances.Intern(&instanceEntry{key: key, inst: inst, canon: canon}, spec)
 	if hit {
 		s.reg.Add("instance_cache_hits_total", 1)
 	} else {
@@ -562,8 +567,12 @@ func (s *Server) tooLarge(w http.ResponseWriter, r *http.Request, prefix string,
 // refuses it and returns nil. A request that declares more than
 // MaxNodes is refused before anything is allocated for its graph or its
 // generator runs; some families build more vertices than asked, so the
-// built instance is checked too.
-func (s *Server) admitBuilt(w http.ResponseWriter, r *http.Request, prefix string, req *Request) *Instance {
+// built instance is checked too. A gen spec (with no inline graph)
+// that an interned instance was built from is answered from that
+// instance, without running the generator: the spec key covers every
+// input of the build, so the build would succeed again with the same
+// graph.
+func (s *Server) admitBuilt(w http.ResponseWriter, r *http.Request, prefix string, req *Request) *instanceEntry {
 	declared := 0
 	if req.Gen != nil {
 		declared = req.Gen.N
@@ -576,6 +585,15 @@ func (s *Server) admitBuilt(w http.ResponseWriter, r *http.Request, prefix strin
 			"%sinstance too large: declared n=%d (limit n<=%d)", prefix, declared, s.cfg.MaxNodes)
 		return nil
 	}
+	var spec specKey
+	if req.Gen != nil && req.Graph == nil {
+		spec = genSpecKey(req.Gen, req.WitnessPos)
+		if e, ok := s.instances.Lookup(spec); ok {
+			s.reg.Add("instance_cache_hits_total", 1)
+			s.reg.Add("instance_spec_hits_total", 1)
+			return e
+		}
+	}
 	inst, err := BuildInstance(req)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "%sbad instance: %v", prefix, err)
@@ -584,7 +602,7 @@ func (s *Server) admitBuilt(w http.ResponseWriter, r *http.Request, prefix strin
 	if s.tooLarge(w, r, prefix, inst.G.N(), inst.G.M()) {
 		return nil
 	}
-	return s.internInstance(inst)
+	return s.internInstance(inst, nil, spec)
 }
 
 // checkPermutation verifies pos is a permutation of 0..n-1.
@@ -621,11 +639,13 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	}
 	// Inline-graph requests take the deferred-materialization path: the
 	// cache key is derived straight from the validated wire-form edge
-	// list, and the graph is only built (and interned) inside the cache
-	// closure — a cache hit never constructs a graph. Gen-spec requests
-	// (and the error cases buildInstance diagnoses) materialize up front
-	// as before: the generator has to run to know the instance.
-	var inst *Instance
+	// list, and the graph is only built (and interned, with that sorted
+	// list) inside the cache closure — a cache hit never constructs a
+	// graph. Gen-spec requests (and the error cases BuildInstance
+	// diagnoses) are admitted up front: a repeated spec finds its
+	// interned instance, a new one runs the generator.
+	var entry *instanceEntry
+	var canon []graph.Edge
 	var key RequestKey
 	if req.Graph != nil && req.Gen == nil {
 		gj := req.Graph
@@ -633,8 +653,8 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad instance: graph.n = %d, need >= 2", gj.N)
 			return
 		}
-		canon, err := canonEdges(gj.N, gj.Edges)
-		if err != nil {
+		var err error
+		if canon, err = canonEdges(gj.N, gj.Edges); err != nil {
 			s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad instance: %v", err)
 			return
 		}
@@ -649,13 +669,12 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		}
 		key = keyFromCanon(req.Protocol, req.Seed, gj.N, canon, req.WitnessPos, nil)
 	} else {
-		if inst = s.admitBuilt(w, r, "", &req); inst == nil {
+		if entry = s.admitBuilt(w, r, "", &req); entry == nil {
 			return
 		}
-		g := inst.G
 		// The effective witnesses (explicit or generator-supplied) are
 		// part of the request identity: they change what the prover sends.
-		key = CanonicalKey(req.Protocol, req.Seed, g.N(), g.Edges(), inst.PathPos, inst.Rotation)
+		key = entry.requestKey(req.Protocol, req.Seed)
 	}
 	if h, ok := s.protoCount[req.Protocol]; ok {
 		h.Add(1)
@@ -675,7 +694,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, outcome, err := s.cache.Do(key, func() (*Response, error) {
-		if inst == nil {
+		if entry == nil {
 			// Deferred materialization: pre-validated, so a failure here
 			// would be a canonEdges/AddEdge disagreement — surfaced, not
 			// swallowed.
@@ -683,8 +702,9 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 			if berr != nil {
 				return nil, berr
 			}
-			inst = s.internInstance(built)
+			entry = s.internInstance(built, canon, "")
 		}
+		inst := entry.inst
 		g := inst.G
 		// The run deadline starts when the request actually contends for
 		// workers; a pure cache hit never arms a timer.
