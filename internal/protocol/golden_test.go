@@ -82,7 +82,11 @@ func runLine(d *Descriptor, inst *Instance, family, strategy string, n int, seed
 // honest prover on the yes-family, then every chaos strategy on the
 // no-family and on the yes-family. The adversarial yes-runs reach
 // stages a no-instance never does when its honest prover fails up
-// front, as outerplanar's does on k4planted.
+// front, as outerplanar's does on k4planted. A protocol whose prover
+// takes a witness then gets one honest yes-run per size without it
+// (family column "<family>/nowitness"): the prover derives its own
+// rotation (planar.Embed) or path (PathOuterplanarOrder), the path every
+// inline request without a witness takes.
 func goldenLines(t *testing.T, d *Descriptor) []string {
 	var lines []string
 	for _, n := range goldenSizes {
@@ -92,6 +96,18 @@ func goldenLines(t *testing.T, d *Descriptor) []string {
 				lines = append(lines, goldenLine(t, d, family, strategy, n))
 			}
 		}
+	}
+	if d.Witness == WitnessNone {
+		return lines
+	}
+	for _, n := range goldenSizes {
+		inst := goldenInstance(t, d, d.Family, n)
+		inst.PathPos, inst.Rotation = nil, nil
+		line, err := runLine(d, inst, d.Family+"/nowitness", "-", n, goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
 	}
 	return lines
 }

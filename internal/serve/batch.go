@@ -98,7 +98,7 @@ func (s *Server) certifyItem(req Request, inst *Instance, key RequestKey) func(c
 			ctx, cancel = context.WithTimeout(ctx, itemTimeout)
 			defer cancel()
 		}
-		resp, outcome, err := s.cache.Do(key, func() (*Response, error) {
+		cached, outcome, err := s.cache.Do(key, func() (*Response, error) {
 			var res *RunResult
 			var runErr error
 			submitted := time.Now()
@@ -149,9 +149,9 @@ func (s *Server) certifyItem(req Request, inst *Instance, key RequestKey) func(c
 		default:
 			s.reg.Add("cache_misses_total", 1)
 			// Batch verdicts certify on the same ledger as interactive ones.
-			s.appendLedger(resp)
+			s.appendLedger(cached.val)
 		}
-		out := *resp // per-item copy: the cached value stays pristine
+		out := *cached.val // per-item copy: the cached value stays pristine
 		out.CacheHit = outcome == Hit
 		out.Shared = outcome == Shared
 		out.WallNS = time.Since(start).Nanoseconds()

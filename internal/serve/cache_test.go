@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,17 +18,17 @@ func TestCacheDoTable(t *testing.T) {
 	c := NewCache(2)
 	var computes atomic.Int64
 	get := func(key string) (*Response, Outcome) {
-		resp, outcome, err := c.Do(RequestKey(key), func() (*Response, error) {
+		e, outcome, err := c.Do(RequestKey(key), func() (*Response, error) {
 			computes.Add(1)
 			return &Response{Key: key}, nil
 		})
 		if err != nil {
 			t.Fatalf("Do(%s): %v", key, err)
 		}
-		if resp.Key != key {
+		if resp := e.val; resp.Key != key {
 			t.Fatalf("Do(%s) returned response for %s", key, resp.Key)
 		}
-		return resp, outcome
+		return e.val, outcome
 	}
 
 	steps := []struct {
@@ -68,7 +73,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, outcome, err := c.Do("k", func() (*Response, error) {
+			e, outcome, err := c.Do("k", func() (*Response, error) {
 				<-gate // hold every follower in the in-flight window
 				computes.Add(1)
 				return &Response{Key: "k", ProofSizeBits: 42}, nil
@@ -77,7 +82,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if resp.ProofSizeBits != 42 {
+			if resp := e.val; resp.ProofSizeBits != 42 {
 				t.Errorf("wrong response shared: %+v", resp)
 			}
 			switch outcome {
@@ -116,9 +121,9 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("error was cached: len %d", c.Len())
 	}
-	resp, outcome, err := c.Do("k", func() (*Response, error) { return &Response{Key: "k"}, nil })
-	if err != nil || resp == nil || outcome != Computed {
-		t.Fatalf("retry after error: resp=%v outcome=%v err=%v", resp, outcome, err)
+	e, outcome, err := c.Do("k", func() (*Response, error) { return &Response{Key: "k"}, nil })
+	if err != nil || e == nil || e.val == nil || outcome != Computed {
+		t.Fatalf("retry after error: entry=%v outcome=%v err=%v", e, outcome, err)
 	}
 }
 
@@ -136,5 +141,64 @@ func TestCacheZeroCapacity(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("capacity<=0 cache retained %d entries", c.Len())
+	}
+}
+
+// TestFirstHitsConcurrent: many requests hit one fresh cache entry at
+// once, racing to encode and store its response prefix. Every body
+// must be byte-identical apart from wall_ns, and equal to the miss's
+// body with cache_hit set; the miss itself stores no prefix.
+func TestFirstHitsConcurrent(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body := inlineBody(t, "treewidth2", "treewidth2", 24, false)
+	post := func() []byte {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/certify", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Errorf("status %d: %s", w.Code, w.Body.String())
+		}
+		return w.Body.Bytes()
+	}
+	wall := regexp.MustCompile(`"wall_ns":\d+`)
+	strip := func(b []byte) string { return wall.ReplaceAllString(string(b), `"wall_ns":0`) }
+
+	miss := post()
+	var out Response
+	if err := json.Unmarshal(miss, &out); err != nil || out.CacheHit || len(out.RoundStats) == 0 {
+		t.Fatalf("miss: %v, %s", err, miss)
+	}
+	s.cache.mu.Lock()
+	entry := s.cache.items[RequestKey(out.Key)].Value.(*cacheEntry)
+	s.cache.mu.Unlock()
+	if entry.json.Load() != nil {
+		t.Fatal("a miss stored the response prefix")
+	}
+	want := strings.Replace(strip(miss), `"cache_hit":false`, `"cache_hit":true`, 1)
+
+	const callers = 32
+	bodies := make([][]byte, callers)
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-gate
+			bodies[i] = post()
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	for i, b := range bodies {
+		if got := strip(b); got != want {
+			t.Fatalf("hit %d:\n got  %s\n want %s", i, got, want)
+		}
+	}
+	if entry.json.Load() == nil {
+		t.Fatal("hits stored no response prefix")
 	}
 }

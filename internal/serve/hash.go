@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -48,25 +49,31 @@ func CanonicalKey(protocol string, seed int64, n int, edges []graph.Edge, witnes
 	return keyFromCanon(protocol, seed, n, canonOf(edges), witness, rot)
 }
 
-// canonOf returns edges canonicalized: each edge sorted endpoint-wise,
-// then the list sorted lexicographically.
-func canonOf(edges []graph.Edge) []graph.Edge {
-	canon := make(edgesByEndpoint, len(edges))
+// canonOf returns edges canonicalized: packed (packEdge), then sorted.
+func canonOf(edges []graph.Edge) []uint64 {
+	canon := make([]uint64, len(edges))
 	for i, e := range edges {
-		canon[i] = graph.Canon(e.U, e.V)
+		canon[i] = packEdge(e.U, e.V)
 	}
-	// Typed sort, not sort.Slice: the reflection-based Swapper and the
-	// comparison closure each allocate per call.
-	sort.Sort(canon)
+	slices.Sort(canon)
 	return canon
 }
 
-// keyFromCanon hashes an already endpoint-canonical, lexicographically
-// sorted edge list into the RequestKey. Split out so that callers
-// holding such a list — the inline fast path's canonEdges result, an
-// interned instance's kept list — derive the identical digest without
-// sorting again.
-func keyFromCanon(protocol string, seed int64, n int, canon []graph.Edge, witness []int, rot *planar.Rotation) RequestKey {
+// packEdge packs the edge {u, v}, endpoints below 1<<32, into the word
+// min<<32 | max: words sort as their endpoint-sorted edges sort
+// lexicographically, in 8 bytes instead of a graph.Edge's 16.
+func packEdge(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(uint32(v))
+}
+
+// keyFromCanon hashes a sorted list of packed edges (canonOf) into the
+// RequestKey. Split out so that callers holding such a list — the
+// inline fast path's canonEdges result, an interned instance's kept
+// list — derive the identical digest without sorting again.
+func keyFromCanon(protocol string, seed int64, n int, canon []uint64, witness []int, rot *planar.Rotation) RequestKey {
 	h := sha256.New()
 	// The bytes hashed match the historical fmt.Fprintf prefix and
 	// per-edge writes exactly; they are gathered in a buffer so that
@@ -86,11 +93,12 @@ func keyFromCanon(protocol string, seed int64, n int, canon []graph.Edge, witnes
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, '|')
-	for i, e := range canon {
-		if i > 0 && e == canon[i-1] {
+	for i, w := range canon {
+		if i > 0 && w == canon[i-1] {
 			continue
 		}
-		put(uint64(uint32(e.U)) | uint64(uint32(e.V))<<32)
+		// u | v<<32, each endpoint as 32 bits.
+		put(bits.RotateLeft64(w, 32))
 	}
 	if len(witness) > 0 {
 		b = append(b, "|witness|"...)
@@ -114,16 +122,16 @@ func keyFromCanon(protocol string, seed int64, n int, canon []graph.Edge, witnes
 	return RequestKey(hx[:])
 }
 
-// canonEdges validates an inline edge list against vertex count n and
-// returns it canonicalized (endpoints sorted, list lexicographically
-// sorted) — the exact form keyFromCanon hashes. The rejections mirror
-// graph.AddEdge's (out-of-range endpoint, self-loop, duplicate edge),
-// so a request that fails here would have failed materialization the
-// same way; passing means the graph can be built later without
-// revalidation, which is what lets the certify fast path derive the
-// cache key without materializing a graph at all.
-func canonEdges(n int, edges [][2]int) ([]graph.Edge, error) {
-	canon := make(edgesByEndpoint, len(edges))
+// canonEdges validates an inline edge list against vertex count n, at
+// most 1<<32, and returns it canonicalized (canonOf) — the exact form
+// keyFromCanon hashes. The rejections mirror graph.AddEdge's
+// (out-of-range endpoint, self-loop, duplicate edge), so a request that
+// fails here would have failed materialization the same way; passing
+// means the graph can be built later without revalidation, which is
+// what lets the certify fast path derive the cache key without
+// materializing a graph at all.
+func canonEdges(n int, edges [][2]int) ([]uint64, error) {
+	canon := make([]uint64, len(edges))
 	for i, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -132,25 +140,13 @@ func canonEdges(n int, edges [][2]int) ([]graph.Edge, error) {
 		if u == v {
 			return nil, fmt.Errorf("graph: self-loop at %d", u)
 		}
-		canon[i] = graph.Canon(u, v)
+		canon[i] = packEdge(u, v)
 	}
-	sort.Sort(canon)
+	slices.Sort(canon)
 	for i := 1; i < len(canon); i++ {
 		if canon[i] == canon[i-1] {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", canon[i].U, canon[i].V)
+			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", canon[i]>>32, uint32(canon[i]))
 		}
 	}
 	return canon, nil
-}
-
-// edgesByEndpoint sorts canonical edges lexicographically by (U, V).
-type edgesByEndpoint []graph.Edge
-
-func (s edgesByEndpoint) Len() int      { return len(s) }
-func (s edgesByEndpoint) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s edgesByEndpoint) Less(i, j int) bool {
-	if s[i].U != s[j].U {
-		return s[i].U < s[j].U
-	}
-	return s[i].V < s[j].V
 }

@@ -49,9 +49,10 @@ type instanceCache struct {
 type instanceEntry struct {
 	key  RequestKey
 	inst *Instance
-	// canon is inst.G's canonical edge list (canonOf), kept so that
-	// the instance and request keys hash it without sorting again.
-	canon []graph.Edge
+	// canon is inst.G's canonical edge list (canonOf), 8 bytes per
+	// edge, kept so that the instance and request keys hash it without
+	// sorting again.
+	canon []uint64
 	spec  specKey // guarded by instanceCache.mu; "" for no alias
 }
 

@@ -162,7 +162,7 @@ func (c Config) withDefaults() Config {
 // [u, v] pairs in any order and orientation.
 type GraphJSON struct {
 	N     int      `json:"n"`
-	Edges EdgeList `json:"edges"`
+	Edges [][2]int `json:"edges"`
 }
 
 // GenSpecJSON asks the server to materialize a generator family
@@ -177,7 +177,8 @@ type GenSpecJSON struct {
 }
 
 // Request is the /certify request body. Exactly one of Graph and Gen
-// must be set.
+// must be set. It decodes by hand (UnmarshalJSON, wire.go), refusing
+// unknown fields even through a plain json.Unmarshal.
 type Request struct {
 	Protocol string       `json:"protocol"`
 	Seed     int64        `json:"seed"`
@@ -189,13 +190,15 @@ type Request struct {
 	// prover derives one itself, which only succeeds on biconnected
 	// outerplanar graphs and bare paths; gen-spec pathouter instances
 	// carry the generator's witness automatically.
-	WitnessPos PosList `json:"witness_pos,omitempty"`
+	WitnessPos []int `json:"witness_pos,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Response is the /certify response body.
+// Response is the /certify response body. Its per-call fields come
+// last, so that its JSON is a fixed prefix, which a cache entry keeps,
+// plus those fields (writeResponse).
 type Response struct {
 	Protocol string `json:"protocol"`
 	// Key is the canonical request hash (the cache key).
@@ -538,7 +541,7 @@ func BuildInstance(req *Request) (*Instance, error) {
 // once-per-instance dense freeze — across requests that differ only in
 // protocol or seed. canon is inst.G's canonical edge list when the
 // caller has it already (canonEdges), nil to sort it here.
-func (s *Server) internInstance(inst *Instance, canon []graph.Edge, spec specKey) *instanceEntry {
+func (s *Server) internInstance(inst *Instance, canon []uint64, spec specKey) *instanceEntry {
 	if canon == nil {
 		canon = canonOf(inst.G.Edges())
 	}
@@ -627,9 +630,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.reg.Add("requests_total", 1)
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := readRequest(w, r, maxCertifyBody, &req); err != nil {
 		s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -638,19 +639,23 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Inline-graph requests take the deferred-materialization path: the
-	// cache key is derived straight from the validated wire-form edge
-	// list, and the graph is only built (and interned, with that sorted
-	// list) inside the cache closure — a cache hit never constructs a
-	// graph. Gen-spec requests (and the error cases BuildInstance
-	// diagnoses) are admitted up front: a repeated spec finds its
-	// interned instance, a new one runs the generator.
+	// declared size is checked first, the cache key is derived straight
+	// from the validated wire-form edge list, and the graph is only
+	// built (and interned, with that sorted list) inside the cache
+	// closure — a cache hit never constructs a graph. Gen-spec requests
+	// (and the error cases BuildInstance diagnoses) are admitted up
+	// front: a repeated spec finds its interned instance, a new one runs
+	// the generator.
 	var entry *instanceEntry
-	var canon []graph.Edge
+	var canon []uint64
 	var key RequestKey
 	if req.Graph != nil && req.Gen == nil {
 		gj := req.Graph
 		if gj.N < 2 {
 			s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad instance: graph.n = %d, need >= 2", gj.N)
+			return
+		}
+		if s.tooLarge(w, r, "", gj.N, len(gj.Edges)) {
 			return
 		}
 		var err error
@@ -663,9 +668,6 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 				s.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad instance: bad witness_pos: %v", err)
 				return
 			}
-		}
-		if s.tooLarge(w, r, "", gj.N, len(canon)) {
-			return
 		}
 		key = keyFromCanon(req.Protocol, req.Seed, gj.N, canon, req.WitnessPos, nil)
 	} else {
@@ -693,7 +695,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp, outcome, err := s.cache.Do(key, func() (*Response, error) {
+	cached, outcome, err := s.cache.Do(key, func() (*Response, error) {
 		if entry == nil {
 			// Deferred materialization: pre-validated, so a failure here
 			// would be a canonEdges/AddEdge disagreement — surfaced, not
@@ -777,15 +779,12 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		s.reg.Add("cache_misses_total", 1)
 		// Only a freshly computed verdict appends: hits and shared calls
 		// were certified (and ledgered) by their original computation.
-		s.appendLedger(resp)
+		s.appendLedger(cached.val)
 	}
-	out := *resp // per-call copy: the cached value stays pristine
-	out.CacheHit = outcome == Hit
-	out.Shared = outcome == Shared
-	out.WallNS = time.Since(start).Nanoseconds()
+	wall := time.Since(start).Nanoseconds()
 	s.reg.Add("responses_total{code=200}", 1)
 	w.Header().Set("Content-Type", "application/json")
 	encStart := time.Now()
-	json.NewEncoder(w).Encode(&out)
+	writeResponse(w, cached, outcome, wall)
 	s.recordStage(r.Context(), "encode", time.Since(encStart))
 }
