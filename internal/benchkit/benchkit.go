@@ -1,9 +1,11 @@
 // Package benchkit runs the engine hot-path and service throughput
 // benchmarks outside `go test`, so cmd/dipbench can emit machine-readable
 // before/after numbers (BENCH_dip.json) for the perf gate. The workloads
-// mirror BenchmarkRunnerHotPath / BenchmarkChannelHotPath /
-// BenchmarkRepeatHotPath (internal/dip) and BenchmarkServeThroughput
-// (internal/serve); keep them in sync when the fixtures change.
+// mirror BenchmarkRunnerHotPath / BenchmarkRepeatHotPath (internal/dip)
+// and BenchmarkServeThroughput (internal/serve); keep them in sync when
+// the fixtures change. The channel engine, Runner's oracle, is left
+// out so that no binary links it (only tests select it); its
+// BenchmarkChannelHotPath runs under `go test`.
 package benchkit
 
 import (
@@ -119,9 +121,9 @@ func fixture(rows, cols, proverRounds int) (*dip.Instance, *fixedProver) {
 	return dip.NewInstance(g), &fixedProver{assigns: assigns}
 }
 
-// HotPath runs the three engine hot-path workloads (10k-node grid,
-// P=3/V=2) and the two service throughput workloads, in the same order
-// as the committed baseline.
+// HotPath runs the two engine hot-path workloads (P=3/V=2 on a
+// 10k-node grid, and Repeat on a 2,500-node one) and the two service
+// throughput workloads, in the same order as the committed baseline.
 func HotPath() ([]Result, error) {
 	var out []Result
 	var benchErr error
@@ -136,18 +138,6 @@ func HotPath() ([]Result, error) {
 			res, err := runner.Run(prover, v, 3, 2, rand.New(rand.NewSource(int64(i))))
 			if err != nil || !res.Accepted {
 				benchErr = fmt.Errorf("benchkit: runner: accepted=%v err=%v", res != nil && res.Accepted, err)
-				b.FailNow()
-			}
-		}
-	})))
-
-	cr := dip.NewChannelRunner(inst)
-	out = append(out, toResult("ChannelHotPath", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := cr.Run(prover, v, 3, 2, rand.New(rand.NewSource(int64(i))))
-			if err != nil || !res.Accepted {
-				benchErr = fmt.Errorf("benchkit: channels: accepted=%v err=%v", res != nil && res.Accepted, err)
 				b.FailNow()
 			}
 		}

@@ -64,12 +64,11 @@ func builderGrid(rows, cols int) *graph.Graph {
 	return b.MustFinish()
 }
 
-// scalingFixture builds the near-square grid of about n nodes, freezes
-// it once, and returns a node-labels-only fixed prover (P=3 rounds).
-// Edge labels are deliberately absent: the workload measures the
-// engine's per-node scaling, and a map-form edge assignment would
-// reintroduce the hashing the bulk path exists to avoid.
-func scalingFixture(n, proverRounds int) (*dip.Frozen, *fixedProver, error) {
+// scalingFixture builds the near-square grid of about n nodes and a
+// node-labels-only fixed prover (P=3 rounds). Edge labels are
+// deliberately absent: the workload measures the engine's per-node
+// scaling, not label traffic.
+func scalingFixture(n, proverRounds int) (*dip.Instance, *fixedProver) {
 	rows := int(math.Sqrt(float64(n)))
 	if rows < 2 {
 		rows = 2
@@ -90,21 +89,18 @@ func scalingFixture(n, proverRounds int) (*dip.Frozen, *fixedProver, error) {
 		assigns[pr] = &dip.Assignment{Node: node}
 	}
 
-	frozen, err := dip.Freeze(dip.NewInstance(g))
-	if err != nil {
-		return nil, nil, err
-	}
-	return frozen, &fixedProver{assigns: assigns}, nil
+	return dip.NewInstance(g), &fixedProver{assigns: assigns}
 }
 
-// Scaling measures the orchestrated engine on builder-built grids over
-// the n × GOMAXPROCS table: every (n, P) cell certifies the same frozen
-// instance (frozen exactly once per n, outside the timed region) with
-// P=3/V=2 rounds, so the cell isolates how the per-node verifier work
-// scales with worker count. GOMAXPROCS is set around each cell and
-// restored before returning. On a single-CPU host the P>1 rows measure
-// scheduling overhead, not speedup; the snapshot note records NumCPU so
-// readers can tell which regime a file was written in.
+// Scaling measures the engine on builder-built grids over the
+// n × GOMAXPROCS table: every (n, P) cell certifies the same instance
+// (frozen exactly once per n, by the first cell's NewRunner, outside
+// the timed region) with P=3/V=2 rounds, so the cell isolates how the
+// per-node verifier work scales with worker count. GOMAXPROCS is set
+// around each cell and restored before returning. On a single-CPU host
+// the P>1 rows measure scheduling overhead, not speedup; the snapshot
+// note records NumCPU so readers can tell which regime a file was
+// written in.
 func Scaling(sizes, procs []int) ([]Result, error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -113,14 +109,11 @@ func Scaling(sizes, procs []int) ([]Result, error) {
 	var benchErr error
 	v := hotPathVerifier{rounds: 3}
 	for _, n := range sizes {
-		frozen, prover, err := scalingFixture(n, 3)
-		if err != nil {
-			return nil, err
-		}
-		nodes := frozen.N()
+		inst, prover := scalingFixture(n, 3)
+		nodes := inst.G.N()
 		for _, p := range procs {
 			runtime.GOMAXPROCS(p)
-			runner := dip.NewRunnerFrozen(frozen)
+			runner := dip.NewRunner(inst)
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -51,26 +51,21 @@ func TestFillSpeedups(t *testing.T) {
 }
 
 // TestScalingCertifyAllocs is the allocs-per-node regression gate for
-// the bulk/Frozen certify path the scaling table measures — the
-// existing AllocsPerRun tests in internal/dip cover the 10k map-built
-// hot path, not this one. The orchestrated engine must run in O(P +
-// rounds) allocations per op (round slices, stats, result — nothing
-// per node); the channel engine is inherently O(n) per run (one
-// goroutine per node), so its gate is a small per-node budget that
-// still fails if per-node label or rng allocations creep back in (the
-// old bitio.FromUint alone cost 4 allocs/node here).
+// the bulk certify path the scaling table measures — the existing
+// AllocsPerRun tests in internal/dip cover the 10k map-built hot path,
+// not this one. The engine must run in O(P + rounds) allocations per op
+// (round slices, stats, result — nothing per node). The channel
+// engine's per-node budget on the same fixture is TestChannelCertifyAllocs
+// in internal/dip, next to the engine.
 func TestScalingCertifyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement at n=10k")
 	}
-	frozen, prover, err := scalingFixture(10_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := frozen.N()
+	inst, prover := scalingFixture(10_000, 3)
+	n := inst.G.N()
 	v := hotPathVerifier{rounds: 3}
 
-	runner := dip.NewRunnerFrozen(frozen)
+	runner := dip.NewRunner(inst)
 	run := func() {
 		res, err := runner.Run(prover, v, 3, 2, rand.New(rand.NewSource(7)))
 		if err != nil || !res.Accepted {
@@ -84,17 +79,5 @@ func TestScalingCertifyAllocs(t *testing.T) {
 	// allocation blows straight through it.
 	if allocs := testing.AllocsPerRun(10, run); allocs > 100 {
 		t.Errorf("Runner ScalingCertify allocs/op = %.0f, want <= 100 (O(P+rounds), not O(n=%d))", allocs, n)
-	}
-
-	cr := dip.NewChannelRunnerFrozen(frozen)
-	crun := func() {
-		res, err := cr.Run(prover, v, 3, 2, rand.New(rand.NewSource(7)))
-		if err != nil || !res.Accepted {
-			t.Fatalf("channels: accepted=%v err=%v", res != nil && res.Accepted, err)
-		}
-	}
-	crun()
-	if allocs := testing.AllocsPerRun(5, crun); allocs > 2.5*float64(n) {
-		t.Errorf("ChannelRunner ScalingCertify allocs/op = %.0f, want <= %.0f (~2.5/node; goroutine-per-node floor)", allocs, 2.5*float64(n))
 	}
 }

@@ -66,8 +66,11 @@ func TestStrategiesDeterministicAcrossEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := obs.NewCollect()
-			_, err = proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(99)),
-				dip.WithTracer(c), dip.WithEngine(engine), dip.WithAdversary(adv))
+			opts := []dip.RunOption{dip.WithTracer(c), dip.WithAdversary(adv)}
+			if engine == obs.EngineChannels {
+				opts = append(opts, dip.WithChannelEngine())
+			}
+			_, err = proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(99)), opts...)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, engine, err)
 			}

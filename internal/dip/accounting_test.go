@@ -118,7 +118,7 @@ func TestFreezeRejectsSmuggledEdgeLabels(t *testing.T) {
 				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
 				t.Error("runner accepted assignment with unaccountable edge labels")
 			}
-			if _, err := NewChannelRunner(NewInstance(g)).Run(&fixedProver{assigns: []*Assignment{a}},
+			if _, err := newChannelRunner(NewInstance(g)).Run(&fixedProver{assigns: []*Assignment{a}},
 				v, 2, 1, rand.New(rand.NewSource(1))); err == nil {
 				t.Error("channel engine accepted assignment with unaccountable edge labels")
 			}
@@ -128,8 +128,8 @@ func TestFreezeRejectsSmuggledEdgeLabels(t *testing.T) {
 
 // TestRunRejectsUnknownEdgeInput is the same validation for the
 // instance itself: an edge-input table that is neither empty nor one
-// entry per edge is a construction bug, surfaced by Freeze and at the
-// first run of either engine instead of silently misread input.
+// entry per edge is a construction bug, surfaced at the first run of
+// either engine instead of silently misread input.
 func TestRunRejectsUnknownEdgeInput(t *testing.T) {
 	g := pathGraph(4)
 	for name, size := range badTableLengths(g.M()) {
@@ -139,15 +139,12 @@ func TestRunRejectsUnknownEdgeInput(t *testing.T) {
 			for id := range inst.EdgeInput {
 				inst.EdgeInput[id] = "orphan"
 			}
-			if _, err := Freeze(inst); err == nil {
-				t.Error("Freeze accepted a mis-sized edge-input table")
-			}
 			v := echoVerifier{decide: func(*View) bool { return true }}
 			if _, err := NewRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
 				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
 				t.Error("runner accepted a mis-sized edge-input table")
 			}
-			if _, err := NewChannelRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
+			if _, err := newChannelRunner(inst).Run(&fixedProver{assigns: []*Assignment{NewAssignment(g)}},
 				v, 1, 0, rand.New(rand.NewSource(1))); err == nil {
 				t.Error("channel engine accepted a mis-sized edge-input table")
 			}

@@ -8,10 +8,11 @@ import (
 )
 
 // Adversary is a fault injector interposed at the engine boundary: both
-// Runner and ChannelRunner consult it (when attached via WithAdversary)
-// at the same three points of the interaction, in the same order, so a
-// seeded adversary behaves identically on both engines and adversarial
-// runs keep engine-independent trace fingerprints.
+// Runner and the channel engine its tests hold as an oracle consult it
+// (when attached via WithAdversary) at the same three points of the
+// interaction, in the same order, so a seeded adversary behaves
+// identically on both engines and adversarial runs keep
+// engine-independent trace fingerprints.
 //
 // The interposition points are:
 //

@@ -70,7 +70,7 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 	inst, prover := hotPathFixture(16, 16, 12)
 	n := inst.G.N()
 	measure := func(proverRounds, verifierRounds int) float64 {
-		cr := NewChannelRunner(inst)
+		cr := newChannelRunner(inst)
 		seed := int64(0)
 		run := func() {
 			seed++
@@ -92,5 +92,44 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 	if perRound > 0.1*float64(n) {
 		t.Errorf("channel engine marginal cost: %.1f allocs per extra round on n=%d, want O(1) (< %.0f)",
 			perRound, n, 0.1*float64(n))
+	}
+}
+
+// TestChannelCertifyAllocs gates the channel engine's whole-run cost on
+// the fixture of benchkit's scaling table and its
+// TestScalingCertifyAllocs: a 10^4-node grid, node labels only, P=3/V=2.
+// One goroutine per node makes the cost inherently O(n), so the gate is
+// a per-node budget that still fails if per-node label or rng
+// allocations creep back in (the old bitio.FromUint alone cost 4
+// allocs/node here).
+func TestChannelCertifyAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement at n=10k")
+	}
+	g := gridGraph(100, 100)
+	n := g.N()
+	var labels [256]bitio.String
+	for i := range labels {
+		labels[i] = bitio.FromUint(uint64(i), 8)
+	}
+	assigns := make([]*Assignment, 3)
+	for pr := range assigns {
+		node := make([]bitio.String, n)
+		for v := range node {
+			node[v] = labels[v%256]
+		}
+		assigns[pr] = &Assignment{Node: node}
+	}
+	prover := &fixedProver{assigns: assigns}
+	cr := newChannelRunner(NewInstance(g))
+	run := func() {
+		res, err := cr.Run(prover, hotPathVerifier{}, 3, 2, rand.New(rand.NewSource(7)))
+		if err != nil || !res.Accepted {
+			t.Fatalf("channels: accepted=%v err=%v", res != nil && res.Accepted, err)
+		}
+	}
+	run() // warm the channels, views and per-node rngs
+	if allocs := testing.AllocsPerRun(5, run); allocs > 2.5*float64(n) {
+		t.Errorf("channel engine allocs/op = %.0f, want <= %.0f (~2.5/node; goroutine-per-node floor)", allocs, 2.5*float64(n))
 	}
 }

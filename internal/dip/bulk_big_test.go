@@ -61,10 +61,7 @@ func TestMillionNodeGridCertify(t *testing.T) {
 
 	inst := NewInstance(g)
 	before := FreezeCount()
-	f, err := Freeze(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := NewRunner(inst) // freezes inst
 	if h := heap(); h > 1<<30 {
 		t.Fatalf("heap after build+freeze = %d MiB, ceiling 1024 MiB", h>>20)
 	}
@@ -82,11 +79,11 @@ func TestMillionNodeGridCertify(t *testing.T) {
 	prover := &fixedProver{assigns: []*Assignment{{Node: node}, {Node: node}}}
 	verifier := echoVerifier{decide: func(view *View) bool { return view.Own(0).Len() > 0 }}
 
-	res, err := NewRunnerFrozen(f).Run(prover, verifier, 2, 1, rand.New(rand.NewSource(1)))
+	res, err := runner.Run(prover, verifier, 2, 1, rand.New(rand.NewSource(1)))
 	if err != nil || !res.Accepted {
 		t.Fatalf("orchestrated engine: accepted=%v err=%v", res != nil && res.Accepted, err)
 	}
-	cres, err := NewChannelRunnerFrozen(f).Run(prover, verifier, 2, 1, rand.New(rand.NewSource(1)))
+	cres, err := newChannelRunner(inst).Run(prover, verifier, 2, 1, rand.New(rand.NewSource(1)))
 	if err != nil || !cres.Accepted {
 		t.Fatalf("channel engine: accepted=%v err=%v", cres != nil && cres.Accepted, err)
 	}

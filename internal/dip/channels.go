@@ -10,17 +10,35 @@ import (
 	"repro/internal/obs"
 )
 
-// ChannelRunner is a second execution engine for the same protocols: the
-// prover and every verifier node run as long-lived goroutines for the
-// whole interaction, exchanging messages over channels — the literal
-// shape of the model, with no central orchestration of the verifier
-// side. It produces results identical to Runner (tests assert this); the
-// orchestrated Runner remains the default because it is faster on large
-// instances. Like Runner, it reuses per-node rngs and the frozen
-// instance across runs, so it is NOT safe for concurrent Run calls.
-type ChannelRunner struct {
+// WithChannelEngine runs Protocol.RunOnce and Repeat, and through
+// RunConfig.Child every sub-execution nested under them, on the channel
+// engine instead of a Runner: the oracle whose results and trace
+// fingerprints Runner's must match. Only tests set it. The engine is
+// reachable only through this option (see RunConfig.oracle), so a
+// binary that never calls it does not link the channel engine.
+func WithChannelEngine() RunOption {
+	return func(c *RunConfig) {
+		c.oracle = func(inst *Instance) engine { return newChannelRunner(inst) }
+	}
+}
+
+// channelRunner is the test oracle for Runner: the prover and every
+// verifier node run as long-lived goroutines for the whole interaction,
+// exchanging messages over channels — the literal shape of the model,
+// with no central orchestration of the verifier side. Tests require its
+// results and trace fingerprints to be identical to Runner's (the
+// cross-engine matrix in locality_test.go, and the cross-engine tests
+// of protocol, chaos and pathouter). Like Runner, it reuses per-node
+// rngs and the frozen instance across runs, so it is NOT safe for
+// concurrent Run calls.
+type channelRunner struct {
 	inst *Instance
 	fi   *frozenInstance
+	// portOff is the CSR offset table over ports: node x's ports occupy
+	// [portOff[x], portOff[x+1]) of a flattened all-ports array of
+	// length portOff[n] == 2*M, out of which the per-round delivery
+	// buffers are sliced (see slot).
+	portOff []int
 	// states[x] is node x's splitmix64 coin stream (reseeded per run);
 	// nodeRngs[x] wraps &states[x] and is created once on the first run.
 	// One rand.Rand per node is inherent to this engine's shape — each
@@ -44,11 +62,16 @@ type ChannelRunner struct {
 	viewsP int
 }
 
-// NewChannelRunner prepares a channel-based execution environment. The
+// newChannelRunner prepares a channel-based execution environment. The
 // dense frozen form is memoized on the instance, shared with any other
 // runner on it.
-func NewChannelRunner(inst *Instance) *ChannelRunner {
-	return &ChannelRunner{inst: inst, fi: inst.freeze().fi}
+func newChannelRunner(inst *Instance) *channelRunner {
+	fi := inst.freeze()
+	portOff := make([]int, fi.n+1)
+	for x, ports := range fi.ports {
+		portOff[x+1] = portOff[x] + len(ports)
+	}
+	return &channelRunner{inst: inst, fi: fi, portOff: portOff}
 }
 
 // slot returns the first delivery slot of node x. One round's delivery
@@ -56,12 +79,12 @@ func NewChannelRunner(inst *Instance) *ChannelRunner {
 // labels in port order: node x's message is slots [slot(x), slot(x+1)).
 // Edge labels travel in a second buffer in plain port order, [portOff[x],
 // portOff[x+1]).
-func (fi *frozenInstance) slot(x int) int { return fi.portOff[x] + x }
+func (cr *channelRunner) slot(x int) int { return cr.portOff[x] + x }
 
 // ensureRunState builds the channels (first run) and the per-node views
 // (first run, or a change of the prover-round count). Each run leaves
 // the views empty behind it (releaseViews).
-func (cr *ChannelRunner) ensureRunState(proverRounds int) {
+func (cr *channelRunner) ensureRunState(proverRounds int) {
 	fi := cr.fi
 	n := fi.n
 	if cr.deliver == nil {
@@ -82,19 +105,19 @@ func (cr *ChannelRunner) ensureRunState(proverRounds int) {
 	cr.viewsP = proverRounds
 	// nbrSlot[portOff[x]+p] is the slot of port p's neighbour label in
 	// node x's message; portSlot is the identity over the edge buffer.
-	nbrSlot := make([]int, fi.portOff[n])
-	portSlot := make([]int, fi.portOff[n])
+	nbrSlot := make([]int, cr.portOff[n])
+	portSlot := make([]int, cr.portOff[n])
 	rounds := make([]frozenAssignment, n*proverRounds)
 	labels := make([]bitio.String, n*proverRounds)
 	for x := 0; x < n; x++ {
-		lo, hi := fi.portOff[x], fi.portOff[x+1]
+		lo, hi := cr.portOff[x], cr.portOff[x+1]
 		for i := lo; i < hi; i++ {
-			nbrSlot[i] = fi.slot(x) + 1 + (i - lo)
+			nbrSlot[i] = cr.slot(x) + 1 + (i - lo)
 			portSlot[i] = i
 		}
 		cr.views[x] = View{
 			rounds: rounds[x*proverRounds : x*proverRounds : (x+1)*proverRounds],
-			self:   fi.slot(x),
+			self:   cr.slot(x),
 			nbr:    nbrSlot[lo:hi:hi],
 			edge:   portSlot[lo:hi:hi],
 			v:      x,
@@ -112,7 +135,7 @@ func (cr *ChannelRunner) ensureRunState(proverRounds int) {
 // deterministic part of the trace-event sequence: both engines emit the
 // same kinds, rounds, histograms, and verdicts for the same seed, so a
 // CollectTracer fingerprint is engine-independent.
-func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng *rand.Rand, opts ...RunOption) (*Result, error) {
+func (cr *channelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng *rand.Rand, opts ...RunOption) (*Result, error) {
 	if proverRounds < 1 || verifierRounds < 0 || proverRounds < verifierRounds {
 		return nil, fmt.Errorf("dip: invalid schedule P=%d V=%d", proverRounds, verifierRounds)
 	}
@@ -131,7 +154,7 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 	}
 
 	// Channels and per-node views persist across runs on the same
-	// ChannelRunner (built on the first run, emptied after each).
+	// channelRunner (built on the first run, emptied after each).
 	cr.ensureRunState(proverRounds)
 	deliver, coinsUp, decide := cr.deliver, cr.coinsUp, cr.decide
 
@@ -150,7 +173,7 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 	// neighbours' rows from the labels it received, into its own slots.
 	var rows rowTable
 	if rv, ok := v.(RowVerifier); ok {
-		rows = rv.Rows().newTable(fi.slot(n))
+		rows = rv.Rows().newTable(cr.slot(n))
 	}
 	// board[r][x] is the coin string node x published in verifier round
 	// r. Each node writes only its own entry, before sending it up.
@@ -240,14 +263,13 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 				cfg.emitAdversaryAct(obs.EngineChannels, pr, adv.Name(), coinMut+labelMut)
 			}
 			// Two flat delivery buffers per round, node labels by slot and
-			// edge labels by port (see frozenInstance.slot): two
-			// allocations for all n messages. Each node's range is written
-			// before its send and read only by that node, so nodes read
-			// them race-free.
-			nodeBuf := make([]bitio.String, fi.slot(n))
-			edgeBuf := make([]bitio.String, fi.portOff[n])
+			// edge labels by port (see slot): two allocations for all n
+			// messages. Each node's range is written before its send and
+			// read only by that node, so nodes read them race-free.
+			nodeBuf := make([]bitio.String, cr.slot(n))
+			edgeBuf := make([]bitio.String, cr.portOff[n])
 			for x := 0; x < n; x++ {
-				s, lo := fi.slot(x), fi.portOff[x]
+				s, lo := cr.slot(x), cr.portOff[x]
 				nodeBuf[s] = fa.node[x]
 				eids := fi.portEID[x]
 				for pi, u := range fi.ports[x] {
@@ -287,7 +309,7 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 		// channels is unsafe mid-protocol, and abandoning the goroutines
 		// is not acceptable, so deliver empty labels for the remaining
 		// rounds.
-		empty := frozenAssignment{node: make([]bitio.String, fi.slot(n)), edge: make([]bitio.String, fi.portOff[n])}
+		empty := frozenAssignment{node: make([]bitio.String, cr.slot(n)), edge: make([]bitio.String, cr.portOff[n])}
 		for pr := len(assignments); pr < proverRounds; pr++ {
 			for x := 0; x < n; x++ {
 				deliver[x] <- empty
@@ -339,9 +361,9 @@ func (cr *ChannelRunner) Run(p Prover, v Verifier, proverRounds, verifierRounds 
 }
 
 // releaseViews drops the run's delivery buffers, coins and rows from
-// the per-node views, so a ChannelRunner kept for later runs retains
+// the per-node views, so a channelRunner kept for later runs retains
 // none of them.
-func (cr *ChannelRunner) releaseViews() {
+func (cr *channelRunner) releaseViews() {
 	for x := range cr.views {
 		view := &cr.views[x]
 		clear(view.rounds)

@@ -57,7 +57,7 @@ func TestChannelRunnerAbortsOnCanceledContext(t *testing.T) {
 	// The channel engine must both return the error and reap every node
 	// goroutine (its error path drains them; -race would flag leaks via
 	// the test's own teardown checks).
-	_, err := NewChannelRunner(inst).Run(p, v, 4, 3, rand.New(rand.NewSource(1)), WithContext(ctx))
+	_, err := newChannelRunner(inst).Run(p, v, 4, 3, rand.New(rand.NewSource(1)), WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -10,12 +10,12 @@ import (
 	"repro/internal/pathouter"
 )
 
-// TestWithEngineSelectsEngine pins the WithEngine option semantics at
-// the dip layer: RunOnce dispatches to the engine the option names (the
-// tracer's engine tag is the witness) and an unknown engine is an
-// error. The
-// registry-wide invariant — identical fingerprints across engines for
-// every protocol — lives in internal/protocol's cross-engine test.
+// TestWithEngineSelectsEngine pins the channel-engine option at the
+// dip layer: RunOnce runs on a Runner unless WithChannelEngine selects
+// the channel engine, and Child forwards the choice to sub-executions
+// (the tracer's engine tag is the witness). The registry-wide
+// invariant — identical fingerprints across engines for every protocol
+// and chaos strategy — is TestViewLocality's matrix.
 func TestWithEngineSelectsEngine(t *testing.T) {
 	const n = 32
 	gi := gen.PathOuterplanar(rand.New(rand.NewSource(5)), n, 0.5)
@@ -32,13 +32,13 @@ func TestWithEngineSelectsEngine(t *testing.T) {
 	}{
 		{"default", obs.EngineRunner,
 			func(tr obs.Tracer) []dip.RunOption { return []dip.RunOption{dip.WithTracer(tr)} }},
-		{"explicit runner", obs.EngineRunner,
-			func(tr obs.Tracer) []dip.RunOption {
-				return []dip.RunOption{dip.WithTracer(tr), dip.WithEngine(obs.EngineRunner)}
-			}},
 		{"channels", obs.EngineChannels,
 			func(tr obs.Tracer) []dip.RunOption {
-				return []dip.RunOption{dip.WithTracer(tr), dip.WithEngine(obs.EngineChannels)}
+				return []dip.RunOption{dip.WithTracer(tr), dip.WithChannelEngine()}
+			}},
+		{"channels, nested", obs.EngineChannels,
+			func(tr obs.Tracer) []dip.RunOption {
+				return dip.NewRunConfig(dip.WithTracer(tr), dip.WithChannelEngine()).Child("sub")
 			}},
 	} {
 		collect := obs.NewCollect()
@@ -53,18 +53,13 @@ func TestWithEngineSelectsEngine(t *testing.T) {
 			t.Errorf("%s: engine tag %q, want %q", tc.name, got, tc.engine)
 		}
 	}
-
-	if _, err := proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(17)), dip.WithEngine("bogus")); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
 }
 
 // TestRepeatHonorsEngine is the regression test for Repeat silently
-// ignoring WithEngine: every run of a Repeat under
-// WithEngine(channels) must execute on the channel engine (the tracer's
-// engine tag is the witness), an unknown engine must be an error, and
-// the channel-engine trial must be metric-fingerprint-identical to the
-// Runner trial on the same seed.
+// ignoring the engine option: every run of a Repeat under
+// WithChannelEngine must execute on the channel engine (the tracer's
+// engine tag is the witness), and the channel-engine trial must be
+// metric-fingerprint-identical to the Runner trial on the same seed.
 func TestRepeatHonorsEngine(t *testing.T) {
 	const n, runs = 24, 3
 	gi := gen.PathOuterplanar(rand.New(rand.NewSource(9)), n, 0.5)
@@ -74,17 +69,17 @@ func TestRepeatHonorsEngine(t *testing.T) {
 	}
 	proto := pathouter.Protocol(&pathouter.Instance{G: gi.G, Pos: gi.Pos}, p)
 
-	trial := func(engine string) (dip.Trial, *obs.CollectTracer) {
+	trial := func(opts ...dip.RunOption) (dip.Trial, *obs.CollectTracer) {
 		collect := obs.NewCollect()
 		tr, err := proto.Repeat(dip.NewInstance(gi.G), runs, rand.New(rand.NewSource(21)),
-			dip.WithTracer(collect), dip.WithEngine(engine))
+			append(opts, dip.WithTracer(collect))...)
 		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
+			t.Fatal(err)
 		}
 		return tr, collect
 	}
-	runnerTrial, runnerCollect := trial(obs.EngineRunner)
-	chanTrial, chanCollect := trial(obs.EngineChannels)
+	runnerTrial, runnerCollect := trial()
+	chanTrial, chanCollect := trial(dip.WithChannelEngine())
 
 	if got := chanCollect.Runs(); len(got) != runs {
 		t.Fatalf("channels: %d traced runs, want %d", len(got), runs)
@@ -100,9 +95,6 @@ func TestRepeatHonorsEngine(t *testing.T) {
 	}
 	if rf, cf := runnerCollect.Fingerprint(), chanCollect.Fingerprint(); rf != cf {
 		t.Errorf("metric fingerprints diverge across engines:\nrunner:   %s\nchannels: %s", rf, cf)
-	}
-	if _, err := proto.Repeat(dip.NewInstance(gi.G), 1, rand.New(rand.NewSource(1)), dip.WithEngine("bogus")); err == nil {
-		t.Error("Repeat accepted unknown engine")
 	}
 }
 

@@ -3,13 +3,40 @@ package dip
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/graph"
 )
 
+// freezeCount counts frozenInstance densifications process-wide. The
+// freeze-once guarantees of Repeat, the soundness estimator, and the
+// serving layer are asserted against it: a sweep that re-densifies per
+// run shows up as a counter delta equal to its run count instead of 1.
+var freezeCount atomic.Uint64
+
+// FreezeCount returns the number of instance densifications performed
+// by this process so far. It only ever increases; callers compare
+// before/after deltas.
+func FreezeCount() uint64 { return freezeCount.Load() }
+
+// freeze returns the instance's dense form, densifying on first use and
+// memoizing it on the instance, so every runner built on inst — and
+// every run of each — shares one freeze. The frozen form is read-only,
+// so concurrent runners (one per goroutine) may share it. Validation is
+// deferred to the first Run (see frozenInstance.check), so NewRunner
+// keeps its no-error signature.
+func (inst *Instance) freeze() *frozenInstance {
+	inst.frozenMu.Lock()
+	defer inst.frozenMu.Unlock()
+	if inst.frozen == nil {
+		inst.frozen = newFrozenInstance(inst)
+	}
+	return inst.frozen
+}
+
 // frozenInstance is the dense, run-ready form of an Instance, built
-// once per Runner/ChannelRunner and shared by every run on it. Inputs
+// once per instance and shared by every runner and run on it. Inputs
 // and labels are edge-id tables from the start, so freezing checks
 // their lengths and shares them, and a view read does zero hashing and
 // zero Canon calls.
@@ -25,11 +52,6 @@ type frozenInstance struct {
 	// ports[v] aliases g.Neighbors(v); portEID[v] aliases g.PortEdgeIDs(v).
 	ports   [][]int
 	portEID [][]int
-	// portOff is the CSR offset table over ports: node v's ports occupy
-	// [portOff[v], portOff[v+1]) in a flattened all-ports array of length
-	// portOff[n] == 2*M. The channel engine slices its per-round delivery
-	// buffers out of it.
-	portOff []int
 	// accountable[v] lists edge ids charged to v (bounded-outdegree
 	// orientation; <= degeneracy many per node, <= 5 on planar graphs).
 	accountable [][]int
@@ -40,7 +62,7 @@ type frozenInstance struct {
 }
 
 // newFrozenInstance densifies inst. Orientation (for edge-label
-// accounting) is computed here so both engines share one freeze step.
+// accounting) is computed here, once per instance.
 // The whole pass is CSR-native: accountable edge ids come from the
 // graph's memoized degeneracy rank plus the port->edge-id tables, with
 // one flat backing array — no per-edge hash lookups and no per-vertex
@@ -61,13 +83,11 @@ func newFrozenInstance(inst *Instance) *frozenInstance {
 		edgeIn:     edgeIn,
 		ports:      make([][]int, n),
 		portEID:    make([][]int, n),
-		portOff:    make([]int, n+1),
 		emptyEdges: make([]bitio.String, g.M()),
 	}
 	for v := 0; v < n; v++ {
 		fi.ports[v] = g.Neighbors(v)
 		fi.portEID[v] = g.PortEdgeIDs(v)
-		fi.portOff[v+1] = fi.portOff[v] + len(fi.ports[v])
 	}
 	// A node is accountable for the incident edges it precedes in the
 	// degeneracy order — the same orientation graph.OrientByDegeneracy
@@ -103,8 +123,8 @@ func newFrozenInstance(inst *Instance) *frozenInstance {
 }
 
 // check reports the deferred freeze-time validation error, if any.
-// NewRunner/NewChannelRunner have no error return, so instance-level
-// problems surface at the first Run instead.
+// NewRunner has no error return, so instance-level problems surface at
+// the first Run instead.
 func (fi *frozenInstance) check() error {
 	if len(fi.edgeIn) != fi.g.M() {
 		return fmt.Errorf("dip: instance has %d edge inputs, want 0 or %d", len(fi.edgeIn), fi.g.M())

@@ -2,13 +2,17 @@
 // Kol–Oshman–Saxena (PODC 2018), the model of the paper.
 //
 // The verifier is distributed: one process per node of the communication
-// graph, executed here as one goroutine per node. The prover is a single
-// centralized entity. Rounds alternate prover->verifier (the prover assigns
-// every node, and optionally every edge, a label) and verifier->prover
-// (every node publishes a public-coin random string). After the last prover
+// graph, executed here by Runner's persistent worker pool, which visits
+// every node in turn each round. The prover is a single centralized
+// entity. Rounds alternate prover->verifier (the prover assigns every
+// node, and optionally every edge, a label) and verifier->prover (every
+// node publishes a public-coin random string). After the last prover
 // round each node decides locally from (1) its own coins, (2) its own
 // labels, and (3) its neighbors' labels — nothing else. The instance is
-// accepted iff every node accepts.
+// accepted iff every node accepts. A second, literal engine — one
+// goroutine per node, messages over channels — is the oracle Runner's
+// results and traces must match; only tests select it
+// (WithChannelEngine).
 //
 // Proof size is the maximum number of label bits the prover sends to a
 // single node in a single round; edge labels are charged to the endpoint
@@ -39,11 +43,11 @@ type Instance struct {
 	// input, and otherwise holds one entry per edge.
 	EdgeInput []any
 
-	// frozen memoizes the dense run-ready form (see Freeze): populated
-	// on the first freeze, shared by every later Runner/ChannelRunner
-	// on this instance. Inputs must not be mutated after the first run.
+	// frozen memoizes the dense run-ready form (see freeze): populated
+	// by the first runner built on the instance, shared by every later
+	// one. Inputs must not be mutated after the first run.
 	frozenMu sync.Mutex
-	frozen   *Frozen
+	frozen   *frozenInstance
 }
 
 // NewInstance wraps g with empty inputs.
@@ -168,10 +172,10 @@ type Runner struct {
 
 // NewRunner prepares an execution environment for inst. The dense
 // frozen form is memoized on the instance, so building several runners
-// for the same instance — or mixing Runner and ChannelRunner on it —
-// densifies once.
+// for the same instance densifies once, and runners on one instance in
+// different goroutines share it read-only.
 func NewRunner(inst *Instance) *Runner {
-	return &Runner{inst: inst, fi: inst.freeze().fi}
+	return &Runner{inst: inst, fi: inst.freeze()}
 }
 
 // Run executes proverRounds prover rounds interleaved with verifierRounds

@@ -223,7 +223,7 @@ func TestChannelRunnerMatchesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewChannelRunner(inst).Run(prover(), verifier, 2, 1, rand.New(rand.NewSource(7)))
+	r2, err := newChannelRunner(inst).Run(prover(), verifier, 2, 1, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestChannelRunnerMatchesRunner(t *testing.T) {
 func TestChannelRunnerProverError(t *testing.T) {
 	g := pathGraph(3)
 	inst := NewInstance(g)
-	_, err := NewChannelRunner(inst).Run(&fixedProver{fail: true},
+	_, err := newChannelRunner(inst).Run(&fixedProver{fail: true},
 		echoVerifier{decide: func(*View) bool { return true }}, 2, 1, rand.New(rand.NewSource(8)))
 	if err == nil {
 		t.Fatal("prover error swallowed")

@@ -1,11 +1,6 @@
 package dip
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/obs"
-)
+import "math/rand"
 
 // Protocol bundles a prover factory and a verifier so experiments can run
 // many independent executions of the same protocol on the same instance.
@@ -24,22 +19,27 @@ type Protocol struct {
 // Rounds returns the total number of interaction rounds.
 func (p *Protocol) Rounds() int { return p.ProverRounds + p.VerifierRounds }
 
-// RunOnce executes the protocol once on inst. Options attach a tracer
-// and span; the protocol's name is applied as the event identity tag
-// unless an explicit WithProtocol option overrides it. The execution
-// engine is the orchestrated Runner unless a WithEngine option selects
-// the message-passing ChannelRunner; given the same rng stream both
-// engines produce identical results.
+// RunOnce executes the protocol once on inst, on a Runner built for
+// the run. Options attach a tracer and span; the protocol's name is
+// applied as the event identity tag unless an explicit WithProtocol
+// option overrides it.
 func (p *Protocol) RunOnce(inst *Instance, rng *rand.Rand, opts ...RunOption) (*Result, error) {
 	tagged := p.tagged(opts)
-	switch engine := NewRunConfig(tagged...).Engine; engine {
-	case "", obs.EngineRunner:
-		return NewRunner(inst).Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
-	case obs.EngineChannels:
-		return NewChannelRunner(inst).Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
-	default:
-		return nil, fmt.Errorf("dip: unknown engine %q", engine)
+	return newEngine(inst, tagged).Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
+}
+
+// engine is what RunOnce and Repeat execute on.
+type engine interface {
+	Run(p Prover, v Verifier, proverRounds, verifierRounds int, rng *rand.Rand, opts ...RunOption) (*Result, error)
+}
+
+// newEngine returns a Runner on inst, or the test oracle's engine when
+// the options carry one (see RunConfig.oracle).
+func newEngine(inst *Instance, opts []RunOption) engine {
+	if oracle := NewRunConfig(opts...).oracle; oracle != nil {
+		return oracle(inst)
 	}
+	return NewRunner(inst)
 }
 
 // tagged prepends the protocol's identity tag to opts.
@@ -70,30 +70,15 @@ func (t Trial) AcceptRate() float64 {
 // Repeat executes the protocol runs times with independent randomness and
 // aggregates outcomes; protocols use it for completeness (expect rate 1 on
 // yes-instances with the honest prover) and soundness (expect low rate on
-// no-instances against adversarial provers). The execution engine honors
-// WithEngine exactly like RunOnce; whichever engine runs, it is
-// constructed once, so the frozen instance — and for the orchestrated
-// Runner the per-node rngs — are reused across all runs.
+// no-instances against adversarial provers). One Runner serves every
+// run, so the frozen instance and the per-node rngs are reused across
+// all of them.
 func (p *Protocol) Repeat(inst *Instance, runs int, rng *rand.Rand, opts ...RunOption) (Trial, error) {
 	t := Trial{Runs: runs, Rounds: p.Rounds()}
 	tagged := p.tagged(opts)
-	var run func() (*Result, error)
-	switch engine := NewRunConfig(tagged...).Engine; engine {
-	case "", obs.EngineRunner:
-		runner := NewRunner(inst)
-		run = func() (*Result, error) {
-			return runner.Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
-		}
-	case obs.EngineChannels:
-		runner := NewChannelRunner(inst)
-		run = func() (*Result, error) {
-			return runner.Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
-		}
-	default:
-		return t, fmt.Errorf("dip: unknown engine %q", engine)
-	}
+	runner := newEngine(inst, tagged)
 	for i := 0; i < runs; i++ {
-		res, err := run()
+		res, err := runner.Run(p.NewProver(), p.Verifier, p.ProverRounds, p.VerifierRounds, rng, tagged...)
 		if err != nil {
 			return t, err
 		}

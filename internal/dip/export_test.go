@@ -82,7 +82,7 @@ func (l *ReadLog) check(v *View, kind readKind, port, round int) string {
 	if port >= 0 {
 		// The port must lead to the neighbour and edge behind it: in
 		// Runner the index spaces are vertex and edge ids, in
-		// ChannelRunner the node's own delivery slots.
+		// channelRunner the node's own delivery slots.
 		runner := &v.nbr[0] == &v.ports[0] // Runner shares one table
 		if runner && (v.nbr[port] != v.ports[port] || v.edge[port] != v.eid[port]) ||
 			!runner && (v.nbr[port] != v.self+1+port || v.edge[port] != v.self-v.v+port) {

@@ -26,36 +26,27 @@ func labeledFixture(n, proverRounds int) (*Instance, *fixedProver, echoVerifier)
 }
 
 // TestFreezeOnceSharedAcrossRunners: every consumer of one Instance —
-// Freeze, both engine constructors, repeated runs — shares a single
-// dense freeze, observed through the package freeze counter.
+// both engine constructors, several runners of each, repeated runs —
+// shares a single dense freeze, observed through the package freeze
+// counter.
 func TestFreezeOnceSharedAcrossRunners(t *testing.T) {
 	inst, prover, v := labeledFixture(32, 2)
 	before := FreezeCount()
 
-	f, err := Freeze(inst)
-	if err != nil {
-		t.Fatal(err)
+	r1, r2 := NewRunner(inst), NewRunner(inst)
+	if r1.fi != r2.fi || r1.fi != inst.freeze() {
+		t.Fatal("runners on one instance hold different frozen forms")
 	}
-	if f.N() != 32 || f.M() != 31 {
-		t.Fatalf("frozen reports n=%d m=%d, want 32/31", f.N(), f.M())
+	if r1.fi.n != 32 || r1.fi.g.M() != 31 {
+		t.Fatalf("frozen form reports n=%d m=%d, want 32/31", r1.fi.n, r1.fi.g.M())
 	}
-	if f.Instance() != inst {
-		t.Fatal("Frozen.Instance does not return the original instance")
-	}
-	if f2, _ := Freeze(inst); f2 != f {
-		t.Fatal("second Freeze returned a different *Frozen")
-	}
-
-	runners := []interface {
-		Run(Prover, Verifier, int, int, *rand.Rand, ...RunOption) (*Result, error)
-	}{
-		NewRunner(inst), NewChannelRunner(inst),
-		NewRunnerFrozen(f), NewChannelRunnerFrozen(f),
-	}
+	runners := []engine{r1, r2, newChannelRunner(inst), newChannelRunner(inst)}
 	for i, r := range runners {
-		res, err := r.Run(prover, v, 2, 1, rand.New(rand.NewSource(7)))
-		if err != nil || !res.Accepted {
-			t.Fatalf("runner %d: accepted=%v err=%v", i, res != nil && res.Accepted, err)
+		for run := 0; run < 2; run++ {
+			res, err := r.Run(prover, v, 2, 1, rand.New(rand.NewSource(7)))
+			if err != nil || !res.Accepted {
+				t.Fatalf("runner %d run %d: accepted=%v err=%v", i, run, res != nil && res.Accepted, err)
+			}
 		}
 	}
 	if got := FreezeCount() - before; got != 1 {
@@ -63,18 +54,15 @@ func TestFreezeOnceSharedAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestFrozenSharedConcurrently: one frozen instance feeds many
-// concurrent runners of both engines; results are deterministic per
-// seed and the instance still froze exactly once. The CI race shard
-// runs this under -race -count=2, which is the actual assertion: the
-// shared frozen state is read-only across goroutines.
+// TestFrozenSharedConcurrently: one instance feeds many concurrent
+// runners of both engines, which race to freeze it; results are
+// deterministic per seed and the instance still froze exactly once.
+// The CI race shard runs this under -race -count=2, which is the actual
+// assertion: the memoized frozen form is built once under the
+// instance's lock and read-only across goroutines after that.
 func TestFrozenSharedConcurrently(t *testing.T) {
 	inst, prover, v := labeledFixture(64, 2)
 	before := FreezeCount()
-	f, err := Freeze(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const workers = 8
 	results := make([]*Result, workers)
@@ -85,14 +73,11 @@ func TestFrozenSharedConcurrently(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Each goroutine owns its runner; only the frozen state is shared.
-			var res *Result
-			var err error
-			if w%2 == 0 {
-				res, err = NewRunnerFrozen(f).Run(prover, v, 2, 1, rand.New(rand.NewSource(11)))
-			} else {
-				res, err = NewChannelRunnerFrozen(f).Run(prover, v, 2, 1, rand.New(rand.NewSource(11)))
+			var r engine = NewRunner(inst)
+			if w%2 == 1 {
+				r = newChannelRunner(inst)
 			}
-			results[w], errs[w] = res, err
+			results[w], errs[w] = r.Run(prover, v, 2, 1, rand.New(rand.NewSource(11)))
 		}(w)
 	}
 	wg.Wait()

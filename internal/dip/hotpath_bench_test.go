@@ -90,7 +90,7 @@ func BenchmarkRunnerHotPath(b *testing.B) {
 // engine (per-node goroutines, per-round deliveries).
 func BenchmarkChannelHotPath(b *testing.B) {
 	inst, prover := hotPathFixture(100, 100, 3)
-	cr := NewChannelRunner(inst)
+	cr := newChannelRunner(inst)
 	v := hotPathVerifier{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,10 +10,10 @@ import "repro/internal/bitio"
 // so decoding it once and sharing it changes no verdict.
 //
 // The Runner decodes every row exactly once per run, in one parallel
-// pass after the last prover round; ChannelRunner, the literal
-// message-passing engine, has each node decode its own row and its
-// neighbours' rows from the labels it received. Decoding is pure, so
-// both engines see the same rows. The table is allocated per run and
+// pass after the last prover round; the channel engine, the literal
+// message-passing model the tests hold Runner to, has each node decode
+// its own row and its neighbours' rows from the labels it received.
+// Decoding is pure, so both engines see the same rows. The table is allocated per run and
 // dropped with it.
 type RowVerifier interface {
 	Verifier

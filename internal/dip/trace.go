@@ -25,11 +25,6 @@ type RunConfig struct {
 	// of letting it finish. Round granularity keeps the hot path free of
 	// per-node checks while still bounding abort latency by one round.
 	Ctx context.Context
-	// Engine selects the execution engine Protocol.RunOnce uses:
-	// obs.EngineRunner (the default when empty) or obs.EngineChannels.
-	// Composite protocols forward it to their sub-executions via Child,
-	// so one option switches a whole nested run between engines.
-	Engine string
 	// Adversary, when non-nil, is interposed at the engine boundary of
 	// the run (coin filtering, label corruption, verdict overrides; see
 	// the Adversary interface). Composite protocols forward it to their
@@ -39,6 +34,13 @@ type RunConfig struct {
 	// sub-executions. No exported option sets it: only tests do, to
 	// check locality.
 	hook viewHook
+	// oracle, when non-nil, builds the engine Protocol.RunOnce and
+	// Repeat execute on in place of a Runner, for the run and its
+	// sub-executions. Only WithChannelEngine sets it, and only tests
+	// call that. It is a constructor rather than a flag so that the
+	// channel engine is referenced from that option alone, and a binary
+	// that never selects it does not link it.
+	oracle func(*Instance) engine
 }
 
 // RunOption configures one execution.
@@ -90,19 +92,6 @@ func WithContext(ctx context.Context) RunOption {
 	}
 }
 
-// WithEngine selects the execution engine for Protocol.RunOnce and
-// every sub-execution nested under it: obs.EngineRunner (default) or
-// obs.EngineChannels. Unknown engine names surface as errors from
-// RunOnce, not silent fallbacks.
-func WithEngine(engine string) RunOption {
-	return func(c *RunConfig) {
-		if engine == obs.EngineRunner {
-			engine = "" // the default; keep Child's zero-cost fast path
-		}
-		c.Engine = engine
-	}
-}
-
 // Aborted reports whether err stems from a canceled or expired
 // WithContext context rather than a protocol/prover failure. Composite
 // protocols use it to propagate aborts out of sub-execution loops that
@@ -136,19 +125,16 @@ func NewRunConfig(opts ...RunOption) RunConfig {
 // disabled and no context attached it returns nil so sub-executions
 // stay on the zero-cost path.
 func (c RunConfig) Child(sub string) []RunOption {
-	if c.Tracer == nil && c.Ctx == nil && c.Engine == "" && c.Adversary == nil && c.hook == nil {
+	if c.Tracer == nil && c.Ctx == nil && c.Adversary == nil && c.hook == nil && c.oracle == nil {
 		return nil
 	}
 	var opts []RunOption
-	if c.hook != nil {
-		hook := c.hook
-		opts = append(opts, func(c *RunConfig) { c.hook = hook })
+	if c.hook != nil || c.oracle != nil { // the test-only fields
+		hook, oracle := c.hook, c.oracle
+		opts = append(opts, func(c *RunConfig) { c.hook, c.oracle = hook, oracle })
 	}
 	if c.Ctx != nil {
 		opts = append(opts, WithContext(c.Ctx))
-	}
-	if c.Engine != "" {
-		opts = append(opts, WithEngine(c.Engine))
 	}
 	if c.Adversary != nil {
 		opts = append(opts, WithAdversary(c.Adversary))

@@ -6,9 +6,9 @@ import "repro/internal/bitio"
 // labels, its neighbours' labels, the labels and inputs of its incident
 // edges, and its own input. It is a set of accessors over the engine's
 // own storage — the frozen assignments in Runner, the delivery buffers
-// in ChannelRunner — so assembling a view copies no label. A View
-// passed to Verifier.Coins or Verifier.Decide is valid only for the
-// duration of that call and must not be retained.
+// in the channel engine of the tests — so assembling a view copies no
+// label. A View passed to Verifier.Coins or Verifier.Decide is valid
+// only for the duration of that call and must not be retained.
 //
 // Ports number a node's incident edges 0..Deg()-1. The view never
 // exposes an engine vertex id: a node knows its neighbours only by
@@ -23,7 +23,7 @@ type View struct {
 	// self indexes this node's label (and row) in rounds[r].node; nbr[p]
 	// port p's neighbour label (and row); edge[p] port p's edge label in
 	// rounds[r].edge. The index spaces are the engine's: vertex and edge
-	// ids in Runner, delivery-buffer slots in ChannelRunner.
+	// ids in Runner, delivery-buffer slots in the channel engine.
 	self int
 	nbr  []int
 	edge []int

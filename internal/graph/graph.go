@@ -57,8 +57,9 @@ type Graph struct {
 
 	// derivedMu guards the lazily materialized derived state below.
 	// Reads through frozen instances happen from many goroutines at
-	// once (shared dip.Frozen), so materialization must be race-free
-	// even though construction itself is single-goroutine.
+	// once (concurrent runners share one frozen dip instance), so
+	// materialization must be race-free even though construction itself
+	// is single-goroutine.
 	derivedMu sync.Mutex
 	// rank/degen memoize DegeneracyRank; rank is nil until computed and
 	// invalidated by AddEdge.

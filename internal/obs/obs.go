@@ -70,7 +70,7 @@ func (k EventKind) String() string {
 // Engine tags identify which execution engine emitted a span.
 const (
 	EngineRunner    = "runner"    // orchestrated engine (dip.Runner)
-	EngineChannels  = "channels"  // message-passing engine (dip.ChannelRunner)
+	EngineChannels  = "channels"  // message-passing engine, dip.Runner's test oracle
 	EngineComposite = "composite" // composite protocol wrapping sub-runs
 )
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dip"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 func yesInstance(rng *rand.Rand, n int, density float64) *Instance {
@@ -244,7 +243,7 @@ func TestChannelEngineAgreesOnRealProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := proto.RunOnce(di, rand.New(rand.NewSource(99)), dip.WithEngine(obs.EngineChannels))
+	b, err := proto.RunOnce(di, rand.New(rand.NewSource(99)), dip.WithChannelEngine())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestBuilderMatchesMapFingerprints(t *testing.T) {
 					inst := &Instance{G: g, PathPos: ref.PathPos, Rotation: ref.Rotation}
 					collect := obs.NewCollect()
 					out, err := d.Run(context.Background(), inst, 29,
-						dip.WithTracer(collect), dip.WithEngine(engine))
+						onEngine(engine, dip.WithTracer(collect))...)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", engine, label, err)
 					}

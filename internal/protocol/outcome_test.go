@@ -112,7 +112,7 @@ func TestCrossEngineFingerprintsWithAdversary(t *testing.T) {
 				}
 				collect := obs.NewCollect()
 				if _, err := d.Run(context.Background(), inst, 13,
-					dip.WithTracer(collect), dip.WithEngine(engine), dip.WithAdversary(adv)); err != nil {
+					onEngine(engine, dip.WithTracer(collect), dip.WithAdversary(adv))...); err != nil {
 					t.Fatalf("engine %s: %v", engine, err)
 				}
 				fp := collect.Fingerprint()

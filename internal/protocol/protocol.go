@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dip"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/planar"
 )
 
@@ -172,10 +171,10 @@ type Descriptor struct {
 
 // Run executes the protocol on inst with verifier randomness derived
 // from seed, bounded by ctx (checked between interaction rounds; nil or
-// Background leaves the run unbounded). Options attach tracers or
-// select the execution engine; they are appended after the context
-// binding, so callers can override it. From the third Run of d on inst
-// on, the prepared half comes from the instance (see prepared).
+// Background leaves the run unbounded). Options attach a tracer or an
+// adversary; they are appended after the context binding, so callers
+// can override it. From the third Run of d on inst on, the prepared
+// half comes from the instance (see prepared).
 func (d *Descriptor) Run(ctx context.Context, inst *Instance, seed int64, opts ...dip.RunOption) (*Outcome, error) {
 	if inst == nil || inst.G == nil {
 		return nil, fmt.Errorf("protocol: %s: instance has no graph", d.Name)
@@ -185,13 +184,6 @@ func (d *Descriptor) Run(ctx context.Context, inst *Instance, seed int64, opts .
 		run = append(run, dip.WithContext(ctx))
 	}
 	run = append(run, opts...)
-	// Reject bad engine selections here, uniformly: adapters absorb
-	// sub-run errors as prover failures, which would mask a typo.
-	switch engine := dip.NewRunConfig(run...).Engine; engine {
-	case "", obs.EngineRunner, obs.EngineChannels:
-	default:
-		return nil, fmt.Errorf("protocol: %s: unknown engine %q", d.Name, engine)
-	}
 	prep, err := inst.prepared(d)
 	if err != nil {
 		return nil, err

@@ -140,7 +140,7 @@ func TestRoundsMatchTrace(t *testing.T) {
 }
 
 // TestCrossEngineFingerprints: for every registered protocol, the
-// orchestrated Runner and the message-passing ChannelRunner produce
+// orchestrated Runner and the message-passing channel engine produce
 // byte-identical deterministic trace fingerprints on the same
 // (instance, seed) — the registry-wide generalization of the old
 // hand-picked pathouter cross-engine case.
@@ -154,7 +154,7 @@ func TestCrossEngineFingerprints(t *testing.T) {
 			for _, engine := range []string{obs.EngineRunner, obs.EngineChannels} {
 				collect := obs.NewCollect()
 				out, err := d.Run(context.Background(), inst, 11,
-					dip.WithTracer(collect), dip.WithEngine(engine))
+					onEngine(engine, dip.WithTracer(collect))...)
 				if err != nil {
 					t.Fatalf("engine %s: %v", engine, err)
 				}
@@ -183,20 +183,14 @@ func TestRunRejectsNilInstance(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineErrors: the engine option is validated, not silently
-// defaulted.
-func TestUnknownEngineErrors(t *testing.T) {
-	d, _ := Get("pathouter")
-	inst := buildInstance2(t, d, 16, 3)
-	if _, err := d.Run(context.Background(), inst, 3, dip.WithEngine("quantum")); err == nil {
-		t.Error("unknown engine accepted")
+// onEngine returns opts, with the option that selects the channel
+// engine added when engine is obs.EngineChannels; without it a run
+// executes on a Runner.
+func onEngine(engine string, opts ...dip.RunOption) []dip.RunOption {
+	if engine == obs.EngineChannels {
+		opts = append(opts, dip.WithChannelEngine())
 	}
-}
-
-// buildInstance2 is buildInstance for tests that are not table-driven.
-func buildInstance2(t *testing.T, d *Descriptor, n int, seed int64) *Instance {
-	t.Helper()
-	return buildInstance(t, d, n, seed)
+	return opts
 }
 
 // BenchmarkRegistryDispatch compares a full run dispatched through the

@@ -27,11 +27,12 @@ import (
 // BatchRequest is the /v1/certify/batch request body.
 type BatchRequest struct {
 	// Items are ordinary certify requests; per-item timeout_ms bounds
-	// that item's run (capped at Config.MaxTimeout) on top of the
-	// job-level deadline.
+	// that item's run (capped at the server's 2-minute maximum) on top
+	// of the job-level deadline.
 	Items []Request `json:"items"`
 	// TimeoutMS bounds the whole job; every item still pending when it
-	// fires is canceled. 0 means Config.MaxTimeout.
+	// fires is canceled. 0 means, and larger values cap at, the
+	// server's 2-minute maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// CancelOnAbandon cancels the job when its last long-poll watcher
 	// disconnects: fire-and-forget clients should leave it false,
@@ -84,13 +85,7 @@ func itemClass(req *Request, n int) string {
 // pool) minus the HTTP framing, executed under the job's child
 // context.
 func (s *Server) certifyItem(req Request, inst *Instance, key RequestKey) func(ctx context.Context) (*Response, error) {
-	itemTimeout := time.Duration(0)
-	if req.TimeoutMS > 0 {
-		itemTimeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if itemTimeout > s.cfg.MaxTimeout {
-			itemTimeout = s.cfg.MaxTimeout
-		}
-	}
+	itemTimeout := capTimeout(req.TimeoutMS, 0)
 	return func(ctx context.Context) (*Response, error) {
 		start := time.Now()
 		if itemTimeout > 0 {
@@ -203,16 +198,9 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordStage(r.Context(), "admission", time.Since(start))
 
-	jobTimeout := time.Duration(0)
-	if breq.TimeoutMS > 0 {
-		jobTimeout = time.Duration(breq.TimeoutMS) * time.Millisecond
-		if jobTimeout > s.cfg.MaxTimeout {
-			jobTimeout = s.cfg.MaxTimeout
-		}
-	}
 	tenant := tenantOf(r)
 	id, err := s.batch.Submit(tenant, items, batch.SubmitOptions{
-		Timeout:         jobTimeout,
+		Timeout:         capTimeout(breq.TimeoutMS, 0),
 		CancelOnAbandon: breq.CancelOnAbandon,
 	})
 	if err != nil {

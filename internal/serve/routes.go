@@ -95,7 +95,7 @@ func (s *Server) routes() []RouteJSON {
 		},
 		{
 			Pattern: "/v1/readyz", Methods: get, handler: s.handleReadyz,
-			Summary: "readiness: 503 once worker queues pass Config.ReadySaturation",
+			Summary: "readiness: 503 once worker queues pass 90% saturation",
 		},
 		{
 			Pattern: "/v1/metricsz", Methods: get, handler: s.handleMetricsz,

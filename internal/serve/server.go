@@ -41,10 +41,8 @@ type Config struct {
 	// entries; negative disables interning).
 	InstanceCacheCapacity int
 	// DefaultTimeout bounds a request that names no timeout_ms
-	// (default 30s); MaxTimeout caps what a request may ask for
-	// (default 2m).
+	// (default 30s); a request may ask for at most 2 minutes.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// MaxNodes / MaxEdges reject oversized instances with 413
 	// (defaults 1<<20 nodes, 1<<22 edges).
 	MaxNodes int
@@ -55,9 +53,6 @@ type Config struct {
 	// AccessLog receives one NDJSON row per request (schema in
 	// SERVICE.md); nil disables access logging.
 	AccessLog io.Writer
-	// ReadySaturation is the fullest-shard queue occupancy in (0, 1]
-	// above which /v1/readyz reports not-ready (default 0.9).
-	ReadySaturation float64
 
 	// Async batch settings (POST /v1/certify/batch, GET /v1/jobs/{id}).
 	// BatchEpochInterval is the epoch coordinator's admission period
@@ -122,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 1 << 20
 	}
@@ -133,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
-	}
-	if c.ReadySaturation <= 0 || c.ReadySaturation > 1 {
-		c.ReadySaturation = 0.9
 	}
 	if c.BatchEpochInterval <= 0 {
 		c.BatchEpochInterval = 25 * time.Millisecond
@@ -156,6 +145,28 @@ func (c Config) withDefaults() Config {
 		c.LedgerFlushInterval = 2 * time.Second
 	}
 	return c
+}
+
+// maxTimeout caps the deadline a request's timeout_ms may ask for, and
+// bounds a batch job that names none.
+const maxTimeout = 2 * time.Minute
+
+// readySaturation is the fullest-shard queue occupancy above which
+// /v1/readyz reports not-ready.
+const readySaturation = 0.9
+
+// capTimeout returns the deadline a request's timeout_ms asks for,
+// capped at maxTimeout, or def when it asks for none (ms <= 0). It
+// compares milliseconds before it multiplies, so a value too large for
+// a time.Duration caps instead of overflowing into a negative deadline.
+func capTimeout(ms int64, def time.Duration) time.Duration {
+	switch {
+	case ms <= 0:
+		return def
+	case ms >= maxTimeout.Milliseconds():
+		return maxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // GraphJSON is the inline-graph form of a request: n vertices, edges as
@@ -192,7 +203,7 @@ type Request struct {
 	// carry the generator's witness automatically.
 	WitnessPos []int `json:"witness_pos,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
-	// capped at Config.MaxTimeout.
+	// capped at the server's 2-minute maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -273,14 +284,14 @@ func New(cfg Config) (*Server, error) {
 	// closure routes through the same cache/singleflight/pool path as
 	// synchronous certify, so batches deduplicate against interactive
 	// traffic and against each other. The job deadline defaults to
-	// MaxTimeout: a batch bounds many items, not one run.
+	// maxTimeout: a batch bounds many items, not one run.
 	s.batch = batch.NewManager[*Response](batch.Config{
 		EpochInterval:  cfg.BatchEpochInterval,
 		EpochMaxItems:  cfg.BatchMaxItems,
 		Quantum:        cfg.BatchQuantum,
 		TenantInFlight: cfg.TenantInFlight,
 		TenantQueueCap: cfg.TenantQueueCap,
-		DefaultTimeout: cfg.MaxTimeout,
+		DefaultTimeout: maxTimeout,
 		Retention:      cfg.JobRetention,
 		MaxJobs:        cfg.MaxJobs,
 		Registry:       cfg.Registry,
@@ -410,12 +421,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: 200 while the worker queues have headroom,
-// 503 once the fullest shard passes Config.ReadySaturation (new work is
+// 503 once the fullest shard passes readySaturation (new work is
 // about to be shed with 429) — load balancers should drain, liveness
 // probes should NOT use this path.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	sat := s.pool.Saturation()
-	ready := sat < s.cfg.ReadySaturation
+	ready := sat < readySaturation
 	w.Header().Set("Content-Type", "application/json")
 	if !ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -687,13 +698,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	// request is allowed to contend for cache or workers.
 	s.recordStage(r.Context(), "admission", time.Since(start))
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
+	timeout := capTimeout(req.TimeoutMS, s.cfg.DefaultTimeout)
 
 	cached, outcome, err := s.cache.Do(key, func() (*Response, error) {
 		if entry == nil {

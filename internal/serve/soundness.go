@@ -37,7 +37,7 @@ type SoundnessRequest struct {
 	Runs       int      `json:"runs,omitempty"`
 	Seed       int64    `json:"seed"`
 	// TimeoutMS overrides the server's default per-request deadline,
-	// capped at Config.MaxTimeout.
+	// capped at the server's 2-minute maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -133,14 +133,7 @@ func (s *Server) handleSoundness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), capTimeout(req.TimeoutMS, s.cfg.DefaultTimeout))
 	defer cancel()
 
 	var rows []soundness.Row
